@@ -275,7 +275,8 @@ def _cmd_search(args, parity: str) -> int:
         return EXIT_OK
     obj = report.to_json()
     obj["config"] = _config_header()
-    _emit(obj, args.pretty, report.csv_rows() if report.findings else None)
+    table = report.csv_rows() if args.pretty and report.findings else None
+    _emit(obj, args.pretty, table)
     return EXIT_OK
 
 

@@ -174,11 +174,13 @@ def factor(
         if ring.is_ramified(q):
             rem, k = _peel(rem, ring.minimal_prime)
             # each peel removes exactly one factor q from the norm
-            assert k == e, f"ramified peel mismatch at {q}"
+            if k != e:
+                raise ArithmeticError(f"ramified peel mismatch at {q} in {x}")
             out.append((ring.minimal_prime, k))
         elif ring.is_inert(q):
             rem, k = _peel(rem, QuadInt(ring, q, 0))
-            assert 2 * k == e, f"inert peel mismatch at {q}"
+            if 2 * k != e:
+                raise ArithmeticError(f"inert peel mismatch at {q} in {x}")
             out.append((QuadInt(ring, q, 0), k))
         else:
             pi = split_lookup.get(q) if split_lookup else None
@@ -191,7 +193,8 @@ def factor(
                 if k:
                     out.append((p, k))
                 total += k
-            assert total == e, f"split peel mismatch at {q}"
+            if total != e:
+                raise ArithmeticError(f"split peel mismatch at {q} in {x}")
     if not rem.is_unit():
         raise ArithmeticError(f"non-unit cofactor {rem} left after peeling {x}")
     out.sort(key=lambda f: (f[0].norm(), f[0].a, f[0].b))

@@ -1,8 +1,9 @@
 """Exhaustive desk-scale searches and theorem-shaped structural validators.
 
 Sector scans enumerate exactly one representative per associate class
-(Gaussian a > 0, b >= 0; Eisenstein a > b >= 0), classify each element,
-and report every non-deficient finding.  The region is partitioned into
+(Gaussian a > 0, b >= 0; Eisenstein a > b >= 0), decide deficiency from
+integers alone (the norm lane, see _norm_lane), and classify and report
+every non-deficient finding exactly.  The region is partitioned into
 strips of the a coordinate; workers are pure classifiers and results merge
 in strip order, so reports are identical no matter how many processes run.
 """
@@ -14,14 +15,16 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from multiprocessing import get_context
 
 from .divisors import (
     Status,
+    _geometric_sum,
     classify,
-    sigma_from_factorization,
     divisor_sum_from_factorization,
+    perfect_associate_unit,
+    sigma_from_factorization,
 )
 from .factorization import Factorization, factor
 from .mersenne import NORM_PERFECT_K_RESIDUES
@@ -104,20 +107,45 @@ def count_lattice_points(ring: Ring, bound: int) -> int:
 # -- shared worker context ------------------------------------------------------
 #
 # Sweeps fork their workers, so the parent publishes the (large, read-only)
-# sieve and split-prime table here right before creating the pool.
+# sieve and prime tables here right before creating the pool.
 
 _CTX: dict = {}
 
 
 def _build_context(ring: Ring, bound: int) -> None:
+    """Publish the sieve, the split-prime table and the norm-lane table.
+
+    The lane table maps each rational prime q that can divide a norm up to
+    the bound to (pi, pi_bar, t, norms, bar_norms):
+
+    * split q: pi and pi_bar are the two sector primes of norm q (pi first
+      in sector order), t = -a_pi / b_pi (mod q) is the image of theta in
+      Z[theta]/pi, so pi divides a + b*theta exactly when a + b*t = 0 (mod q);
+    * ramified q: pi is the minimal prime, pi_bar is None and t = 1;
+    * inert q: pi is q itself, pi_bar is None and t = 2;
+
+    norms[j] (bar_norms[j]) caches N(sigma(pi**j)) (N(sigma(pi_bar**j))),
+    extended on demand in each process.
+    """
     spf = smallest_prime_factor_sieve(bound)
-    split: dict[int, QuadInt] = {}
+    above: dict[int, list[QuadInt]] = {}
     for a, b, n in iter_sector(ring, bound):
         if n >= 2 and spf[n] == n and not ring.is_ramified(n):
-            if n not in split:
-                split[n] = QuadInt(ring, a, b)
+            above.setdefault(n, []).append(QuadInt(ring, a, b))
+    split: dict[int, QuadInt] = {}
+    lane: dict[int, tuple] = {}
+    for q, primes in above.items():
+        if len(primes) != 2:
+            raise ScanInvariantError(f"{len(primes)} sector primes of norm {q}")
+        pi, pi_bar = primes
+        split[q] = pi
+        lane[q] = (pi, pi_bar, -pi.a * pow(pi.b, -1, q) % q, [1], [1])
+    lane[ring.residue_char] = (ring.minimal_prime, None, 1, [1], None)
+    for q in range(2, isqrt(bound) + 1):
+        if ring.is_inert(q) and spf[q] == q:
+            lane[q] = (QuadInt(ring, q, 0), None, 2, [1], None)
     _CTX.clear()
-    _CTX.update(ring=ring, bound=bound, spf=spf, split=split)
+    _CTX.update(ring=ring, bound=bound, spf=spf, split=split, lane=lane)
 
 
 def _chunks(ring: Ring, bound: int) -> list[tuple[int, int]]:
@@ -162,12 +190,79 @@ def _oracle_chunk(chunk: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
     return checked, mismatches
 
 
+def _sigma_norm(pi: QuadInt, norms: list[int], j: int) -> int:
+    """norms[j] = N(sigma(pi**j)), extending the cache as far as j."""
+    while len(norms) <= j:
+        norms.append(_geometric_sum(pi, len(norms)).norm())
+    return norms[j]
+
+
+def _norm_lane(a: int, b: int, n: int) -> tuple[int, list[tuple[QuadInt, int]]]:
+    """N(sigma(x)) and the (prime, exponent) pairs of x = a + b*theta.
+
+    Integer arithmetic only: the exponents come from the sieve factorization
+    of the norm n.  A ramified prime takes the exponent of q, an inert one
+    half of it.  For a split q of exponent e, both conjugates take the
+    exponent k of q in gcd(a, b); after dividing that content out, the other
+    e - 2k go to pi when a' + b'*t = 0 (mod q) and to pi_bar otherwise.
+    Pairs come in no particular order and omit zero exponents.
+    """
+    lane = _CTX["lane"]
+    g = gcd(a, b)
+    sn = 1
+    pairs: list[tuple[QuadInt, int]] = []
+    for q, e in factor_with_sieve(n, _CTX["spf"]):
+        pi, pi_bar, t, norms, bar_norms = lane[q]
+        if pi_bar is None:
+            if e % t:
+                raise ScanInvariantError(f"odd exponent {e} of inert {q} in norm {n}")
+            j = e // t
+            sn *= _sigma_norm(pi, norms, j)
+            pairs.append((pi, j))
+            continue
+        k = 0
+        qk = 1
+        while g % q == 0:
+            g //= q
+            k += 1
+            qk *= q
+        rest = e - 2 * k
+        if rest < 0:
+            raise ScanInvariantError(f"content {q}^{k} exceeds norm {n}")
+        if (a // qk + b // qk * t) % q == 0:
+            j, j_bar = k + rest, k
+        else:
+            j, j_bar = k, k + rest
+        if j:
+            sn *= _sigma_norm(pi, norms, j)
+            pairs.append((pi, j))
+        if j_bar:
+            sn *= _sigma_norm(pi_bar, bar_norms, j_bar)
+            pairs.append((pi_bar, j_bar))
+    return sn, pairs
+
+
+def _lane_factorization(x: QuadInt, pairs: list[tuple[QuadInt, int]]) -> Factorization:
+    """The Factorization of x from the lane's pairs, in factor()'s order.
+
+    The unit is x divided by the product of the prime powers; that division
+    being exact with a unit quotient certifies the pairs recompose x.
+    """
+    factors = tuple(sorted(pairs, key=lambda f: (f[0].norm(), f[0].a, f[0].b)))
+    prod = QuadInt(x.ring, 1, 0)
+    for p, e in factors:
+        prod = prod * p**e
+    unit = x.exact_divide(prod)
+    if unit is None or not unit.is_unit():
+        raise ScanInvariantError(f"lane factors {factors} do not recompose {x}")
+    return Factorization(unit=unit, factors=factors)
+
+
 def _classify_chunk(args) -> tuple[int, int, list[dict]]:
     chunk, parity, prune = args
     ring, bound = _CTX["ring"], _CTX["bound"]
     char = ring.residue_char
     allowed = NORM_PERFECT_K_RESIDUES[ring]
-    minimal = ring.minimal_prime
     scanned = 0
     pruned = 0
     findings: list[dict] = []
@@ -190,22 +285,18 @@ def _classify_chunk(args) -> tuple[int, int, list[dict]]:
                 if (v + 1) % 12 not in allowed:
                     pruned += 1
                     continue
-            x = QuadInt(ring, a, b)
-            fac = _factor_point(ring, a, b, n)
-            sig = sigma_from_factorization(fac)
-            ns = sig.norm()
-            if ns < char * n:
+            sn, pairs = _norm_lane(a, b, n)
+            if sn < char * n:
                 continue
-            cls = classify(x, factorization=fac)
+            x = QuadInt(ring, a, b)
+            cls = classify(x, factorization=_lane_factorization(x, pairs))
+            if cls.sigma_norm != sn:
+                raise ScanInvariantError(
+                    f"lane sigma norm {sn} differs from {cls.sigma_norm} at {x}"
+                )
             finding = {"classification": cls}
             if cls.status is Status.NORM_PERFECT:
-                unit = None
-                base = minimal * x
-                for u in ring.units:
-                    if u * base == sig:
-                        unit = u
-                        break
-                finding["perfect_unit"] = unit
+                finding["perfect_unit"] = perfect_associate_unit(x, cls.sigma)
             findings.append(finding)
     return scanned, pruned, findings
 
@@ -229,6 +320,11 @@ def _prime_chunk(chunk: tuple[int, int]) -> list[tuple[int, int]]:
     return hits
 
 
+def _pool_worker_init() -> None:
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
 def _run_chunks(fn, work, jobs):
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -236,7 +332,17 @@ def _run_chunks(fn, work, jobs):
         for item in work:
             yield fn(item)
         return
-    with get_context("fork").Pool(jobs) as pool:
+    # Workers fork with the parent's signal handlers, and sector_scan's
+    # SIGTERM handler only sets a flag: a worker still holding it would
+    # survive the pool's terminate() and leave the parent blocked in join.
+    # Resetting the handler in the initializer alone leaves a window before
+    # it runs, so SIGTERM stays blocked from the fork until the reset.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        pool = get_context("fork").Pool(jobs, initializer=_pool_worker_init)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    with pool:
         yield from pool.imap(fn, work)
 
 
@@ -469,7 +575,7 @@ def find_normperfect_primes(
     for q in range(2, isqrt(norm_bound) + 1):
         if ring.is_inert(q) and is_rational_prime(q):
             psi = QuadInt(ring, q, 0)
-            if (sigma_of_prime := psi + 1).norm() == char * psi.norm():
+            if (psi + 1).norm() == char * psi.norm():
                 hits.append(psi)
     hits.sort(key=lambda x: (x.norm(), x.a, x.b))
     return hits

@@ -9,6 +9,7 @@ from cycloperfect.cli import (
     EXIT_SCAN_BREACH,
     main,
 )
+from cycloperfect.search import SearchReport
 
 
 def run(capsys, *argv):
@@ -189,6 +190,24 @@ class TestSearchCommands:
         )
         assert code == EXIT_SCAN_BREACH
         assert "breach" in err
+
+    def test_plain_json_builds_no_table(self, capsys, monkeypatch):
+        def no_table(report):
+            raise AssertionError("table built for plain JSON output")
+
+        monkeypatch.setattr(SearchReport, "csv_rows", no_table)
+        obj = run_json(
+            capsys, "search-odd", "--ring", "gaussian", "--max-norm", "30", "--jobs", "1"
+        )
+        assert obj["findings"]
+
+    def test_pretty_search_prints_table(self, capsys):
+        code, out, _err = run(
+            capsys, "--pretty", "search-odd", "--ring", "gaussian", "--max-norm", "30",
+            "--jobs", "1",
+        )
+        assert code == EXIT_OK
+        assert any(line.startswith("element ") for line in out.splitlines())
 
     def test_pretty_output(self, capsys):
         code, out, _err = run(

@@ -166,3 +166,16 @@ class TestFactor:
         assert Factorization.from_json(f.to_json()) == f
         obj = f.to_json(element=e(7))
         assert obj["element"] == e(7).to_json()
+
+
+@pytest.mark.parametrize(
+    "x, norm_factors, kind",
+    [
+        (g(2), [(2, 3)], "ramified"),  # 2 = -i(1+i)^2: two peels, not three
+        (e(2), [(2, 1)], "inert"),  # one peel of 2 removes 2^2 from the norm
+        (g(5), [(5, 1)], "split"),  # 5 = (2+i)(2-i): two peels, not one
+    ],
+)
+def test_wrong_norm_factors_raise(x, norm_factors, kind):
+    with pytest.raises(ArithmeticError, match=f"{kind} peel mismatch"):
+        factor(x, norm_factors=norm_factors)

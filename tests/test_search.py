@@ -1,12 +1,22 @@
 import json
+import os
 import random
+import signal
 
 import pytest
 
-from cycloperfect.divisors import Status, classify
+from cycloperfect import search
+from cycloperfect.divisors import (
+    Status,
+    classify,
+    perfect_associate_unit,
+    sigma_from_factorization,
+)
 from cycloperfect.factorization import factor
+from cycloperfect.mersenne import NORM_PERFECT_K_RESIDUES
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
 from cycloperfect.search import (
+    ScanInvariantError,
     check_rational_perfect_remark,
     count_lattice_points,
     count_sector_classes,
@@ -130,6 +140,105 @@ class TestSectorScan:
         rows = report.csv_rows()
         assert rows[0][0] == "element"
         assert len(rows) == len(report.findings) + 1
+
+
+class TestNormLane:
+    def test_lane_matches_peel_oracle(self):
+        # every class up to 2*10^4: the lane's exponents and N(sigma) against
+        # peeling each prime by trial division
+        bound = 20_000
+        for ring in Ring:
+            search._build_context(ring, bound)
+            for a, b, n in iter_sector(ring, bound):
+                fac = search._factor_point(ring, a, b, n)
+                sn, pairs = search._norm_lane(a, b, n)
+                factors = sorted(pairs, key=lambda f: (f[0].norm(), f[0].a, f[0].b))
+                assert factors == list(fac.factors), (a, b)
+                assert sn == sigma_from_factorization(fac).norm(), (a, b)
+
+    def test_lane_factorization_matches_factor(self):
+        search._build_context(EISENSTEIN, 2_000)
+        for a, b, n in iter_sector(EISENSTEIN, 2_000):
+            x = e(a, b)
+            _sn, pairs = search._norm_lane(a, b, n)
+            assert search._lane_factorization(x, pairs) == factor(x)
+
+    def test_wrong_pairs_fail_the_recomposition_check(self):
+        # 3+2i has norm 13; its conjugate class 2+3i does not divide it
+        with pytest.raises(ScanInvariantError):
+            search._lane_factorization(g(3, 2), [(g(2, 3), 1)])
+        with pytest.raises(ScanInvariantError):
+            search._lane_factorization(g(3, 2) * g(3, 2), [(g(3, 2), 1)])
+
+
+def _reference_scan(classes, parity, prune):
+    """(scanned, pruned, findings JSON) from factor + classify per class."""
+    scanned = pruned = 0
+    findings = []
+    for x, fac, cls in classes:
+        ring = x.ring
+        if (parity == "odd" and cls.even) or (parity == "even" and not cls.even):
+            continue
+        scanned += 1
+        if prune and cls.even:
+            v = dict(fac.factors)[ring.minimal_prime]
+            if (v + 1) % 12 not in NORM_PERFECT_K_RESIDUES[ring]:
+                pruned += 1
+                continue
+        if cls.status is Status.DEFICIENT:
+            continue
+        unit = None
+        if cls.status is Status.NORM_PERFECT:
+            unit = perfect_associate_unit(x, cls.sigma)
+        findings.append(
+            {**cls.to_json(), "perfect_unit": unit.to_json() if unit else None}
+        )
+    findings.sort(
+        key=lambda f: (int(f["norm"]), int(f["element"]["a"]), int(f["element"]["b"]))
+    )
+    return scanned, pruned, findings
+
+
+@pytest.mark.parametrize("ring", list(Ring))
+def test_scan_matches_peel_reference(ring, monkeypatch):
+    # small chunks so that the pool runs and merges many of them
+    monkeypatch.setattr(search, "_CHUNK_TARGET_POINTS", 400)
+    bound = 2_500
+    classes = []
+    for a, b, _n in iter_sector(ring, bound):
+        x = QuadInt(ring, a, b)
+        fac = factor(x)
+        classes.append((x, fac, classify(x, factorization=fac)))
+    for parity in ("all", "odd", "even"):
+        for prune in (False, True):
+            want = _reference_scan(classes, parity, prune)
+            for jobs in (1, 2):
+                report = sector_scan(ring, bound, parity=parity, jobs=jobs, prune=prune)
+                obj = report.to_json()
+                got = (obj["scanned"], obj["pruned"], obj["findings"])
+                assert got == want, (parity, prune, jobs)
+
+
+def _sigterm_probe(args):
+    """Stands in for _classify_chunk: scans one class when it runs in a
+    pool worker where SIGTERM is unblocked and has the default disposition."""
+    in_worker = os.getpid() != _TEST_PID
+    default = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    blocked = signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    return int(in_worker and default and not blocked), 0, []
+
+
+_TEST_PID = os.getpid()
+
+
+def test_pool_workers_do_not_inherit_the_scan_sigterm_handler(monkeypatch):
+    # sector_scan's handler only sets a flag; a worker that inherited it
+    # would survive the pool's terminate() and hang the parent in join
+    monkeypatch.setattr(search, "_classify_chunk", _sigterm_probe)
+    chunks = search._chunks(EISENSTEIN, 20_000)
+    assert len(chunks) > 1
+    report = sector_scan(EISENSTEIN, 20_000, jobs=2)
+    assert report.scanned == len(chunks)
 
 
 class TestNormPerfectPrimes:
