@@ -140,15 +140,28 @@ def prime_above(q: int, ring: Ring) -> QuadInt:
     raise ArithmeticError(f"failed to find a prime above {q} in {ring}")
 
 
-def _peel(x: QuadInt, pi: QuadInt) -> tuple[QuadInt, int]:
-    """Divide out pi as often as it goes; returns (cofactor, multiplicity)."""
+def _conjugate_prime(pi: QuadInt) -> QuadInt:
+    """The other sector prime above the split q = N(pi), for pi in the sector.
+
+    Gaussian: i * conj(a + b*i) = b + a*i.  Eisenstein: (1 + w) * conj(a + b*w)
+    = a + (a - b)*w.  Both lie in the sector because b > 0 for a split prime.
+    """
+    if pi.ring is Ring.GAUSSIAN:
+        return QuadInt(pi.ring, pi.b, pi.a)
+    return QuadInt(pi.ring, pi.a, pi.a - pi.b)
+
+
+def _peel(x: QuadInt, pi: QuadInt, most: int) -> tuple[QuadInt, int]:
+    """Divide out pi as often as it goes, at most `most` times; returns
+    (cofactor, multiplicity)."""
     e = 0
-    while True:
+    while e < most:
         d = x.exact_divide(pi)
         if d is None:
-            return x, e
+            break
         x = d
         e += 1
+    return x, e
 
 
 def factor(
@@ -172,29 +185,33 @@ def factor(
     out: list[tuple[QuadInt, int]] = []
     for q, e in norm_factors:
         if ring.is_ramified(q):
-            rem, k = _peel(rem, ring.minimal_prime)
-            # each peel removes exactly one factor q from the norm
-            if k != e:
+            # the one prime above q has norm q, so it takes all of q's exponent
+            d = rem.exact_divide(ring.minimal_prime**e)
+            if d is None:
                 raise ArithmeticError(f"ramified peel mismatch at {q} in {x}")
-            out.append((ring.minimal_prime, k))
+            rem = d
+            out.append((ring.minimal_prime, e))
         elif ring.is_inert(q):
-            rem, k = _peel(rem, QuadInt(ring, q, 0))
-            if 2 * k != e:
+            # q stays prime, of norm q^2, so it takes half of q's exponent
+            d = rem.exact_divide(q ** (e // 2)) if e % 2 == 0 else None
+            if d is None:
                 raise ArithmeticError(f"inert peel mismatch at {q} in {x}")
-            out.append((QuadInt(ring, q, 0), k))
+            rem = d
+            out.append((QuadInt(ring, q, 0), e // 2))
         else:
             pi = split_lookup.get(q) if split_lookup else None
             if pi is None:
                 pi = prime_above(q, ring)
-            pi_bar = pi.conjugate().sector_canonical()[1]
-            total = 0
-            for p in sorted({pi, pi_bar}, key=lambda z: (z.a, z.b)):
-                rem, k = _peel(rem, p)
-                if k:
-                    out.append((p, k))
-                total += k
-            if total != e:
-                raise ArithmeticError(f"split peel mismatch at {q} in {x}")
+            rem, k = _peel(rem, pi, e)
+            if k:
+                out.append((pi, k))
+            if k < e:
+                # the conjugate prime takes the rest of q's exponent
+                pi_bar = _conjugate_prime(pi)
+                rem, k_bar = _peel(rem, pi_bar, e - k)
+                if k + k_bar != e:
+                    raise ArithmeticError(f"split peel mismatch at {q} in {x}")
+                out.append((pi_bar, k_bar))
     if not rem.is_unit():
         raise ArithmeticError(f"non-unit cofactor {rem} left after peeling {x}")
     out.sort(key=lambda f: (f[0].norm(), f[0].a, f[0].b))

@@ -113,39 +113,42 @@ _CTX: dict = {}
 
 
 def _build_context(ring: Ring, bound: int) -> None:
-    """Publish the sieve, the split-prime table and the norm-lane table.
+    """Publish the sieve and the prime tables of the norm lane.
 
-    The lane table maps each rational prime q that can divide a norm up to
-    the bound to (pi, pi_bar, t, norms, bar_norms):
-
-    * split q: pi and pi_bar are the two sector primes of norm q (pi first
-      in sector order), t = -a_pi / b_pi (mod q) is the image of theta in
-      Z[theta]/pi, so pi divides a + b*theta exactly when a + b*t = 0 (mod q);
-    * ramified q: pi is the minimal prime, pi_bar is None and t = 1;
-    * inert q: pi is q itself, pi_bar is None and t = 2;
-
-    norms[j] (bar_norms[j]) caches N(sigma(pi**j)) (N(sigma(pi_bar**j))),
-    extended on demand in each process.
+    split maps each split rational prime q up to the bound to
+    (pi, pi_bar, t, norms, bar_norms): pi and pi_bar are the two sector
+    primes of norm q (pi first in sector order), and t = -a_pi / b_pi (mod q)
+    is the image of theta in Z[theta]/pi, so pi divides a + b*theta exactly
+    when a + b*t = 0 (mod q).  whole maps the ramified prime and each inert q
+    that can divide a norm up to the bound to (pi, d, norms), where pi is the
+    one prime above q and N(pi) = q**d.  norms[j] (bar_norms[j]) caches
+    N(sigma(pi**j)) (N(sigma(pi_bar**j))), extended on demand in each process.
+    split_pi maps each split q to its pi, the split_lookup factor() takes.
     """
     spf = smallest_prime_factor_sieve(bound)
     above: dict[int, list[QuadInt]] = {}
     for a, b, n in iter_sector(ring, bound):
         if n >= 2 and spf[n] == n and not ring.is_ramified(n):
             above.setdefault(n, []).append(QuadInt(ring, a, b))
-    split: dict[int, QuadInt] = {}
-    lane: dict[int, tuple] = {}
+    split: dict[int, tuple] = {}
     for q, primes in above.items():
         if len(primes) != 2:
             raise ScanInvariantError(f"{len(primes)} sector primes of norm {q}")
         pi, pi_bar = primes
-        split[q] = pi
-        lane[q] = (pi, pi_bar, -pi.a * pow(pi.b, -1, q) % q, [1], [1])
-    lane[ring.residue_char] = (ring.minimal_prime, None, 1, [1], None)
+        split[q] = (pi, pi_bar, -pi.a * pow(pi.b, -1, q) % q, [1], [1])
+    whole: dict[int, tuple] = {ring.residue_char: (ring.minimal_prime, 1, [1])}
     for q in range(2, isqrt(bound) + 1):
         if ring.is_inert(q) and spf[q] == q:
-            lane[q] = (QuadInt(ring, q, 0), None, 2, [1], None)
+            whole[q] = (QuadInt(ring, q, 0), 2, [1])
     _CTX.clear()
-    _CTX.update(ring=ring, bound=bound, spf=spf, split=split, lane=lane)
+    _CTX.update(
+        ring=ring,
+        bound=bound,
+        spf=spf,
+        split=split,
+        whole=whole,
+        split_pi={q: v[0] for q, v in split.items()},
+    )
 
 
 def _chunks(ring: Ring, bound: int) -> list[tuple[int, int]]:
@@ -173,7 +176,7 @@ def _factor_point(ring: Ring, a: int, b: int, n: int) -> Factorization:
     return factor(
         QuadInt(ring, a, b),
         norm_factors=factor_with_sieve(n, _CTX["spf"]),
-        split_lookup=_CTX["split"],
+        split_lookup=_CTX["split_pi"],
     )
 
 
@@ -207,19 +210,20 @@ def _norm_lane(a: int, b: int, n: int) -> tuple[int, list[tuple[QuadInt, int]]]:
     e - 2k go to pi when a' + b'*t = 0 (mod q) and to pi_bar otherwise.
     Pairs come in no particular order and omit zero exponents.
     """
-    lane = _CTX["lane"]
+    split, whole = _CTX["split"], _CTX["whole"]
     g = gcd(a, b)
     sn = 1
     pairs: list[tuple[QuadInt, int]] = []
     for q, e in factor_with_sieve(n, _CTX["spf"]):
-        pi, pi_bar, t, norms, bar_norms = lane[q]
-        if pi_bar is None:
-            if e % t:
-                raise ScanInvariantError(f"odd exponent {e} of inert {q} in norm {n}")
-            j = e // t
-            sn *= _sigma_norm(pi, norms, j)
-            pairs.append((pi, j))
+        s = split.get(q)
+        if s is None:
+            pi, d, norms = whole[q]
+            if e % d:
+                raise ScanInvariantError(f"exponent {e} of inert {q} in norm {n} is odd")
+            sn *= _sigma_norm(pi, norms, e // d)
+            pairs.append((pi, e // d))
             continue
+        pi, pi_bar, t, norms, bar_norms = s
         k = 0
         qk = 1
         while g % q == 0:
@@ -240,22 +244,6 @@ def _norm_lane(a: int, b: int, n: int) -> tuple[int, list[tuple[QuadInt, int]]]:
             sn *= _sigma_norm(pi_bar, bar_norms, j_bar)
             pairs.append((pi_bar, j_bar))
     return sn, pairs
-
-
-def _lane_factorization(x: QuadInt, pairs: list[tuple[QuadInt, int]]) -> Factorization:
-    """The Factorization of x from the lane's pairs, in factor()'s order.
-
-    The unit is x divided by the product of the prime powers; that division
-    being exact with a unit quotient certifies the pairs recompose x.
-    """
-    factors = tuple(sorted(pairs, key=lambda f: (f[0].norm(), f[0].a, f[0].b)))
-    prod = QuadInt(x.ring, 1, 0)
-    for p, e in factors:
-        prod = prod * p**e
-    unit = x.exact_divide(prod)
-    if unit is None or not unit.is_unit():
-        raise ScanInvariantError(f"lane factors {factors} do not recompose {x}")
-    return Factorization(unit=unit, factors=factors)
 
 
 def _classify_chunk(args) -> tuple[int, int, list[dict]]:
@@ -288,8 +276,14 @@ def _classify_chunk(args) -> tuple[int, int, list[dict]]:
             sn, pairs = _norm_lane(a, b, n)
             if sn < char * n:
                 continue
+            # a finding is factored and classified by the exact library path,
+            # which certifies the lane: same exponents, same sigma norm
+            fac = _factor_point(ring, a, b, n)
             x = QuadInt(ring, a, b)
-            cls = classify(x, factorization=_lane_factorization(x, pairs))
+            lane_factors = sorted(pairs, key=lambda f: (f[0].norm(), f[0].a, f[0].b))
+            if fac.factors != tuple(lane_factors):
+                raise ScanInvariantError(f"lane exponents {pairs} differ from factor({x})")
+            cls = classify(x, factorization=fac)
             if cls.sigma_norm != sn:
                 raise ScanInvariantError(
                     f"lane sigma norm {sn} differs from {cls.sigma_norm} at {x}"

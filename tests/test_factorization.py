@@ -4,6 +4,7 @@ import pytest
 
 from cycloperfect.factorization import (
     Factorization,
+    _conjugate_prime,
     factor,
     is_ring_prime,
     prime_above,
@@ -68,6 +69,9 @@ class TestPrimeAbove:
                         assert pi.norm() == q * q
                     else:
                         assert pi.norm() == q
+                    if not ring.is_inert(q) and not ring.is_ramified(q):
+                        pi_bar = _conjugate_prime(pi)
+                        assert pi_bar == pi.conjugate().sector_canonical()[1] != pi
             q += 1
 
     def test_large_split_prime_gaussian(self):
@@ -171,9 +175,9 @@ class TestFactor:
 @pytest.mark.parametrize(
     "x, norm_factors, kind",
     [
-        (g(2), [(2, 3)], "ramified"),  # 2 = -i(1+i)^2: two peels, not three
-        (e(2), [(2, 1)], "inert"),  # one peel of 2 removes 2^2 from the norm
-        (g(5), [(5, 1)], "split"),  # 5 = (2+i)(2-i): two peels, not one
+        (g(2), [(2, 3)], "ramified"),  # 2 = -i(1+i)^2: (1+i)^3 does not divide it
+        (e(2), [(2, 1)], "inert"),  # the prime 2 takes 2^2 of the norm at a time
+        (g(5), [(5, 3)], "split"),  # 5 = (2+i)(2-i): two peels, not three
     ],
 )
 def test_wrong_norm_factors_raise(x, norm_factors, kind):

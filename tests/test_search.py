@@ -156,19 +156,24 @@ class TestNormLane:
                 assert factors == list(fac.factors), (a, b)
                 assert sn == sigma_from_factorization(fac).norm(), (a, b)
 
-    def test_lane_factorization_matches_factor(self):
-        search._build_context(EISENSTEIN, 2_000)
-        for a, b, n in iter_sector(EISENSTEIN, 2_000):
-            x = e(a, b)
-            _sn, pairs = search._norm_lane(a, b, n)
-            assert search._lane_factorization(x, pairs) == factor(x)
+    def test_a_wrong_lane_fails_the_finding_certificate(self, monkeypatch):
+        lane = search._norm_lane
 
-    def test_wrong_pairs_fail_the_recomposition_check(self):
-        # 3+2i has norm 13; its conjugate class 2+3i does not divide it
-        with pytest.raises(ScanInvariantError):
-            search._lane_factorization(g(3, 2), [(g(2, 3), 1)])
-        with pytest.raises(ScanInvariantError):
-            search._lane_factorization(g(3, 2) * g(3, 2), [(g(3, 2), 1)])
+        def inflated(a, b, n):  # every class looks non-deficient
+            sn, pairs = lane(a, b, n)
+            return sn * 10**6, pairs
+
+        monkeypatch.setattr(search, "_norm_lane", inflated)
+        with pytest.raises(ScanInvariantError, match="sigma norm"):
+            sector_scan(GAUSSIAN, 100, jobs=1)
+
+        def shifted(a, b, n):  # right sigma norm, wrong exponents
+            sn, pairs = lane(a, b, n)
+            return sn, [(p, k + 1) for p, k in pairs]
+
+        monkeypatch.setattr(search, "_norm_lane", shifted)
+        with pytest.raises(ScanInvariantError, match="exponents"):
+            sector_scan(GAUSSIAN, 100, jobs=1)
 
 
 def _reference_scan(classes, parity, prune):
