@@ -4,7 +4,8 @@ Every subcommand prints one JSON document on stdout (sorted keys, so equal
 runs produce byte-identical output apart from wall-time fields); --pretty
 switches to an indented rendering plus aligned tables for list-shaped
 results.  Exit codes: 0 success, 1 verification failure, 2 scan invariant
-breach, 64 parse/usage error, 65 domain error.
+breach, 64 parse/usage error, 65 domain error, 130 interrupted (SIGINT or
+SIGTERM).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import signal
 import sys
 
 from .cyclotomic import (
@@ -51,6 +53,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_SCAN_BREACH = 2
 EXIT_PARSE_ERROR = 64
 EXIT_DOMAIN_ERROR = 65
+EXIT_INTERRUPTED = 130
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +113,9 @@ def _progress_printer(enabled: bool):
         return None
 
     def cb(done: int) -> None:
-        print(f"scanned {done}", file=sys.stderr)
+        # one write per line: print() writes the newline separately, and an
+        # interrupt between the two would glue the next line onto this one
+        sys.stderr.write(f"scanned {done}\n")
 
     return cb
 
@@ -120,18 +125,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pretty", action="store_true", help="indented output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_element_cmd(name, help_text):
+    def add_element_cmd(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--ring", type=_ring, required=True)
         p.add_argument("element", help="element text, e.g. 7-8i, 2+1w, -3")
         return p
 
-    add_element_cmd("factor", "factor an element into positive primes")
-    add_element_cmd("sigma", "generalized sum-of-divisors of an element")
-    p = add_element_cmd("classify", "deficient/norm-perfect/abundant status")
+    add_element_cmd("factor", _cmd_factor, "factor an element into positive primes")
+    add_element_cmd("sigma", _cmd_sigma, "generalized sum-of-divisors of an element")
+    p = add_element_cmd("classify", _cmd_classify, "deficient/norm-perfect/abundant status")
     p.add_argument("--primitive", action="store_true", help="also check primitivity")
 
     p = sub.add_parser("mersenne", help="scan generalized Mersenne exponents")
+    p.set_defaults(func=_cmd_mersenne)
     p.add_argument("--ring", type=_ring, required=True)
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--residue-filter", type=_residue_set, default=None)
@@ -145,11 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, parity in (("search-even", "even"), ("search-odd", "odd")):
         p = sub.add_parser(name, help=f"sector scan over {parity} classes")
+        p.set_defaults(func=_cmd_search, parity=parity, prune=False)
         p.add_argument("--ring", type=_ring, required=True)
         p.add_argument("--max-norm", type=int, required=True)
         p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--checkpoint", default=None)
-        p.add_argument("--resume", action="store_true")
         p.add_argument("--progress", action="store_true")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="JSON output (default)")
@@ -162,14 +168,17 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("find-normperfect-primes", help="norm-perfect prime sweep")
+    p.set_defaults(func=_cmd_find_primes)
     p.add_argument("--ring", type=_ring, required=True)
     p.add_argument("--max-norm", type=int, required=True)
     p.add_argument("--jobs", type=int, default=None)
 
     p = sub.add_parser("check-remark", help="rational perfect numbers are not Eisenstein norm-perfect")
+    p.set_defaults(func=_cmd_check_remark)
     p.add_argument("k", type=int, nargs="+")
 
     p = sub.add_parser("cyclo", help="Z[zeta_p] operations")
+    p.set_defaults(func=_cmd_cyclo)
     p.add_argument("--p", type=int, required=True)
     cyc_sub = p.add_subparsers(dest="cyclo_command", required=True)
     q = cyc_sub.add_parser("norm")
@@ -188,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("form", help="JSON AbstractOddFactorization, or - for stdin")
 
     p = sub.add_parser("verify", help="run named invariant suites")
+    p.set_defaults(func=_cmd_verify)
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--jobs", type=int, default=None)
     return parser
@@ -258,15 +268,13 @@ def _cmd_mersenne(args) -> int:
     return EXIT_OK
 
 
-def _cmd_search(args, parity: str) -> int:
+def _cmd_search(args) -> int:
     report = sector_scan(
         args.ring,
         args.max_norm,
-        parity=parity,
+        parity=args.parity,
         jobs=args.jobs,
-        prune=getattr(args, "prune", False),
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
+        prune=args.prune,
         progress_cb=_progress_printer(args.progress),
     )
     if args.csv:
@@ -356,7 +364,7 @@ def _cmd_cyclo(args) -> int:
 
 def _cmd_verify(args) -> int:
     result = run_suite(
-        args.suite, jobs=args.jobs, log=lambda line: print(line, file=sys.stderr)
+        args.suite, jobs=args.jobs, log=lambda line: sys.stderr.write(line + "\n")
     )
     obj = result.to_json()
     obj["config"] = _config_header()
@@ -368,28 +376,11 @@ def _cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM unwinds like a Ctrl-C, so either one tears a worker pool down
+    # on the way out; the previous handler comes back for in-process callers
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        if args.command == "factor":
-            return _cmd_factor(args)
-        if args.command == "sigma":
-            return _cmd_sigma(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "mersenne":
-            return _cmd_mersenne(args)
-        if args.command == "search-even":
-            return _cmd_search(args, "even")
-        if args.command == "search-odd":
-            return _cmd_search(args, "odd")
-        if args.command == "find-normperfect-primes":
-            return _cmd_find_primes(args)
-        if args.command == "check-remark":
-            return _cmd_check_remark(args)
-        if args.command == "cyclo":
-            return _cmd_cyclo(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.func(args)
     except ElementParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -404,6 +395,11 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -14,10 +14,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from math import isqrt
-from multiprocessing import get_context
 
-from .factorization import Factorization
+from .factorization import Factorization, is_ring_prime
+from .parallel import run_chunks
 from .rational import is_rational_prime
 from .rings import QuadInt, Ring
 
@@ -73,18 +72,6 @@ def mersenne_element(ring: Ring, k: int) -> QuadInt:
     return ring.minimal_prime**k - 1
 
 
-def _element_is_prime(x: QuadInt) -> bool:
-    n = x.norm()
-    if n <= 1:
-        return False
-    if is_rational_prime(n):
-        return True
-    q = isqrt(n)
-    if q * q == n and x.ring.is_inert(q) and is_rational_prime(q):
-        return x.sector_canonical()[1] == QuadInt(x.ring, q, 0)
-    return False
-
-
 def mersenne(ring: Ring, k: int) -> MersenneRecord:
     element = mersenne_element(ring, k)
     return MersenneRecord(
@@ -93,7 +80,7 @@ def mersenne(ring: Ring, k: int) -> MersenneRecord:
         element=element,
         norm=element.norm(),
         k_residue=k % k_residue_modulus(ring),
-        is_prime=_element_is_prime(element),
+        is_prime=is_ring_prime(element),
         prime_exponent_ok=is_rational_prime(k),
     )
 
@@ -219,22 +206,10 @@ def scan(
         cached = _load_cache(cache_path, ring)
     todo = [k for k in ks if k not in cached]
     fresh: list[MersenneRecord] = []
-    if todo:
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        if jobs > 1 and len(todo) > 4:
-            with get_context("fork").Pool(jobs) as pool:
-                for rec in pool.imap(
-                    _scan_one, [(ring.value, k) for k in todo], chunksize=1
-                ):
-                    fresh.append(rec)
-                    if progress_cb is not None:
-                        progress_cb(len(cached) + len(fresh))
-        else:
-            for k in todo:
-                fresh.append(mersenne(ring, k))
-                if progress_cb is not None:
-                    progress_cb(len(cached) + len(fresh))
+    for rec in run_chunks(_scan_one, [(ring.value, k) for k in todo], jobs):
+        fresh.append(rec)
+        if progress_cb is not None:
+            progress_cb(len(cached) + len(fresh))
     if cache_path and fresh:
         with open(cache_path, "a", encoding="utf-8") as fh:
             for rec in fresh:

@@ -10,13 +10,9 @@ in strip order, so reports are identical no matter how many processes run.
 
 from __future__ import annotations
 
-import json
-import os
-import signal
 import time
 from dataclasses import dataclass
 from math import gcd, isqrt
-from multiprocessing import get_context
 
 from .divisors import (
     Status,
@@ -28,6 +24,7 @@ from .divisors import (
 )
 from .factorization import Factorization, factor
 from .mersenne import NORM_PERFECT_K_RESIDUES
+from .parallel import run_chunks
 from .rational import (
     factor_with_sieve,
     is_rational_prime,
@@ -36,7 +33,6 @@ from .rational import (
 from .rings import QuadInt, Ring
 
 DEFAULT_SCAN_LIMIT = 200_000
-CHECKPOINT_EVERY = 10_000
 _CHUNK_TARGET_POINTS = 6_000
 
 
@@ -314,32 +310,6 @@ def _prime_chunk(chunk: tuple[int, int]) -> list[tuple[int, int]]:
     return hits
 
 
-def _pool_worker_init() -> None:
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-
-
-def _run_chunks(fn, work, jobs):
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(work) <= 1:
-        for item in work:
-            yield fn(item)
-        return
-    # Workers fork with the parent's signal handlers, and sector_scan's
-    # SIGTERM handler only sets a flag: a worker still holding it would
-    # survive the pool's terminate() and leave the parent blocked in join.
-    # Resetting the handler in the initializer alone leaves a window before
-    # it runs, so SIGTERM stays blocked from the fork until the reset.
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-    try:
-        pool = get_context("fork").Pool(jobs, initializer=_pool_worker_init)
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    with pool:
-        yield from pool.imap(fn, work)
-
-
 # -- public sweeps ---------------------------------------------------------------
 
 
@@ -351,7 +321,7 @@ def oracle_equivalence_sweep(
     _build_context(ring, bound)
     checked = 0
     mismatches: list[QuadInt] = []
-    for c, mm in _run_chunks(_oracle_chunk, _chunks(ring, bound), jobs):
+    for c, mm in run_chunks(_oracle_chunk, _chunks(ring, bound), jobs):
         checked += c
         mismatches.extend(QuadInt(ring, a, b) for a, b in mm)
     return checked, mismatches
@@ -417,33 +387,12 @@ class SearchReport:
         return rows
 
 
-def _flush_checkpoint(path: str, state: dict) -> None:
-    tmp = path + ".tmp"
-    payload = dict(state)
-    payload["findings"] = [
-        {
-            **f["classification"].to_json(),
-            "perfect_unit": (
-                f["perfect_unit"].to_json()
-                if f.get("perfect_unit") is not None
-                else None
-            ),
-        }
-        for f in payload["findings"]
-    ]
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
-
-
 def sector_scan(
     ring: Ring,
     norm_bound: int,
     parity: str = "all",
     jobs: int | None = None,
     prune: bool = False,
-    checkpoint_path: str | None = None,
-    resume: bool = False,
     max_bound: int = DEFAULT_SCAN_LIMIT,
     progress_cb=None,
 ) -> SearchReport:
@@ -460,81 +409,15 @@ def sector_scan(
         raise ValueError(f"norm bound {norm_bound} exceeds the limit {max_bound}")
     t0 = time.monotonic()
     _build_context(ring, norm_bound)
-    chunks = _chunks(ring, norm_bound)
-    header = {
-        "ring": ring.value,
-        "norm_bound": norm_bound,
-        "parity": parity,
-        "prune": prune,
-        "chunk_count": len(chunks),
-    }
-    start_chunk = 0
     scanned = pruned = 0
     findings: list[dict] = []
-    if checkpoint_path and resume and os.path.exists(checkpoint_path):
-        with open(checkpoint_path, "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
-        if {k: saved.get(k) for k in header} == header:
-            start_chunk = saved["done_chunks"]
-            scanned = saved["scanned"]
-            pruned = saved["pruned"]
-            for f in saved["findings"]:
-                element = QuadInt.from_json(f["element"])
-                cls = classify(element)
-                if cls.to_json() != {
-                    k: f[k] for k in cls.to_json()
-                }:
-                    raise ScanInvariantError(
-                        f"checkpointed finding {element} fails replay"
-                    )
-                entry = {"classification": cls}
-                if f.get("perfect_unit") is not None:
-                    entry["perfect_unit"] = QuadInt.from_json(f["perfect_unit"])
-                elif cls.status is Status.NORM_PERFECT:
-                    entry["perfect_unit"] = None
-                findings.append(entry)
-
-    interrupted = {"flag": False}
-
-    def _on_term(signum, frame):
-        interrupted["flag"] = True
-
-    old_handler = None
-    try:
-        old_handler = signal.signal(signal.SIGTERM, _on_term)
-    except ValueError:
-        pass  # not the main thread
-
-    state = dict(header, done_chunks=start_chunk, scanned=scanned, pruned=pruned)
-    last_flush = scanned
-    try:
-        work = [(c, parity, prune) for c in chunks[start_chunk:]]
-        for i, (s, p, fs) in enumerate(_run_chunks(_classify_chunk, work, jobs)):
-            scanned += s
-            pruned += p
-            findings.extend(fs)
-            state.update(
-                done_chunks=start_chunk + i + 1,
-                scanned=scanned,
-                pruned=pruned,
-                findings=findings,
-            )
-            if progress_cb is not None:
-                progress_cb(scanned)
-            if checkpoint_path and scanned - last_flush >= CHECKPOINT_EVERY:
-                _flush_checkpoint(checkpoint_path, state)
-                last_flush = scanned
-            if interrupted["flag"]:
-                break
-    finally:
-        if checkpoint_path:
-            state["findings"] = findings
-            _flush_checkpoint(checkpoint_path, state)
-        if old_handler is not None:
-            signal.signal(signal.SIGTERM, old_handler)
-    if interrupted["flag"]:
-        raise KeyboardInterrupt("scan interrupted by SIGTERM; checkpoint flushed")
-
+    work = [(c, parity, prune) for c in _chunks(ring, norm_bound)]
+    for s, p, fs in run_chunks(_classify_chunk, work, jobs):
+        scanned += s
+        pruned += p
+        findings.extend(fs)
+        if progress_cb is not None:
+            progress_cb(scanned)
     findings.sort(
         key=lambda f: (
             f["classification"].norm,
@@ -563,7 +446,7 @@ def find_normperfect_primes(
     _build_context(ring, norm_bound)
     char = ring.residue_char
     hits: list[QuadInt] = []
-    for chunk_hits in _run_chunks(_prime_chunk, _chunks(ring, norm_bound), jobs):
+    for chunk_hits in run_chunks(_prime_chunk, _chunks(ring, norm_bound), jobs):
         hits.extend(QuadInt(ring, a, b) for a, b in chunk_hits)
     # inert rational primes sit at (q, 0) with norm q**2
     for q in range(2, isqrt(norm_bound) + 1):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cycloperfect import search
 from cycloperfect.cli import (
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
@@ -157,39 +158,20 @@ class TestSearchCommands:
         assert code == EXIT_OK
         assert "scanned" in err
 
-    def test_checkpoint_resume(self, capsys, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        first = run_json(
-            capsys,
-            "search-odd", "--ring", "gaussian", "--max-norm", "2000",
-            "--jobs", "1", "--checkpoint", path,
-        )
-        resumed = run_json(
-            capsys,
-            "search-odd", "--ring", "gaussian", "--max-norm", "2000",
-            "--jobs", "1", "--checkpoint", path, "--resume",
-        )
-        assert resumed["findings"] == first["findings"]
-        assert resumed["scanned"] == first["scanned"]
+    def test_lane_factor_disagreement_is_a_scan_breach(self, capsys, monkeypatch):
+        lane = search._norm_lane
 
-    def test_doctored_checkpoint_is_a_scan_breach(self, capsys, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        run_json(
-            capsys,
-            "search-odd", "--ring", "gaussian", "--max-norm", "2000",
-            "--jobs", "1", "--checkpoint", path,
-        )
-        saved = json.load(open(path))
-        assert saved["findings"]
-        saved["findings"][0]["sigma_norm"] = "999999"
-        json.dump(saved, open(path, "w"))
+        def shifted(a, b, n):  # right sigma norm, wrong exponents
+            sn, pairs = lane(a, b, n)
+            return sn, [(p, k + 1) for p, k in pairs]
+
+        monkeypatch.setattr(search, "_norm_lane", shifted)
         code, _out, err = run(
             capsys,
-            "search-odd", "--ring", "gaussian", "--max-norm", "2000",
-            "--jobs", "1", "--checkpoint", path, "--resume",
+            "search-odd", "--ring", "gaussian", "--max-norm", "200", "--jobs", "1",
         )
         assert code == EXIT_SCAN_BREACH
-        assert "breach" in err
+        assert err.startswith("scan invariant breach: lane exponents")
 
     def test_plain_json_builds_no_table(self, capsys, monkeypatch):
         def no_table(report):

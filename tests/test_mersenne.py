@@ -193,6 +193,14 @@ class TestScan:
         # nothing new appended on a warm resume
         with open(path) as fh:
             assert len(fh.readlines()) == len(first)
+        # a partial cache extended by the pool matches a serial scan
+        done = []
+        third = scan(
+            EISENSTEIN, 90, cache_path=path, resume=True, jobs=2,
+            progress_cb=done.append,
+        )
+        assert third == scan(EISENSTEIN, 90, jobs=1)
+        assert done == list(range(len(first) + 1, len(third) + 1))
 
     def test_cache_rejects_corrupt_lines(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

@@ -1,4 +1,3 @@
-import json
 import os
 import random
 import signal
@@ -119,19 +118,6 @@ class TestSectorScan:
 
         assert norm_perfect(plain) == norm_perfect(pruned)
 
-    def test_checkpoint_resume(self, tmp_path):
-        path = str(tmp_path / "scan.json")
-        full = sector_scan(EISENSTEIN, 5_000, jobs=1)
-        partial = sector_scan(EISENSTEIN, 5_000, jobs=1, checkpoint_path=path)
-        saved = json.load(open(path))
-        assert saved["scanned"] == full.scanned
-        # resuming from a completed checkpoint re-does nothing
-        resumed = sector_scan(
-            EISENSTEIN, 5_000, jobs=1, checkpoint_path=path, resume=True
-        )
-        assert resumed.scanned == full.scanned
-        assert resumed.findings == full.findings == partial.findings
-
     def test_report_serialization(self):
         report = sector_scan(GAUSSIAN, 100, jobs=1)
         obj = report.to_json()
@@ -226,23 +212,34 @@ def test_scan_matches_peel_reference(ring, monkeypatch):
 
 def _sigterm_probe(args):
     """Stands in for _classify_chunk: scans one class when it runs in a
-    pool worker where SIGTERM is unblocked and has the default disposition."""
+    pool worker where SIGTERM is unblocked and has the default disposition
+    and SIGINT is ignored."""
     in_worker = os.getpid() != _TEST_PID
     default = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
-    blocked = signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, ())
-    return int(in_worker and default and not blocked), 0, []
+    ignores_int = signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, ()) & {
+        signal.SIGTERM,
+        signal.SIGINT,
+    }
+    return int(in_worker and default and ignores_int and not blocked), 0, []
 
 
 _TEST_PID = os.getpid()
 
 
 def test_pool_workers_do_not_inherit_the_scan_sigterm_handler(monkeypatch):
-    # sector_scan's handler only sets a flag; a worker that inherited it
-    # would survive the pool's terminate() and hang the parent in join
+    # cli.main's SIGTERM handler is in place whenever a pool forks; a worker
+    # that kept a Python-level handler would not die of SIGTERM as it should
+    # (a flag-only one would ignore it), and one that kept SIGINT's would
+    # print a traceback on every Ctrl-C
     monkeypatch.setattr(search, "_classify_chunk", _sigterm_probe)
-    chunks = search._chunks(EISENSTEIN, 20_000)
-    assert len(chunks) > 1
-    report = sector_scan(EISENSTEIN, 20_000, jobs=2)
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    try:
+        chunks = search._chunks(EISENSTEIN, 20_000)
+        assert len(chunks) > 1
+        report = sector_scan(EISENSTEIN, 20_000, jobs=2)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     assert report.scanned == len(chunks)
 
 
