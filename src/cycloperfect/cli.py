@@ -142,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", type=_ring, required=True)
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--residue-filter", type=_residue_set, default=None)
-    p.add_argument("--cache", default=None)
-    p.add_argument("--resume", action="store_true")
     p.add_argument("--jobs", type=int, default=None)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON output (default)")
@@ -237,8 +235,6 @@ def _cmd_mersenne(args) -> int:
         args.ring,
         args.max_k,
         residues=args.residue_filter,
-        cache_path=args.cache,
-        resume=args.resume,
         jobs=args.jobs,
         progress_cb=_progress_printer(args.progress),
     )

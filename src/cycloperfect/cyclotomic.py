@@ -12,6 +12,7 @@ Mersenne norms, and the abstract odd-form congruence validator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .rational import is_rational_prime
 
@@ -318,19 +319,9 @@ def order_lemma_check(a: int, p: int) -> bool:
     _check_p(p)
     if a % p in (0, 1):
         raise ValueError("a must not be 0 or 1 mod p")
-    t = _order(a, p)
+    t = residue_degree(a, p)
     total = sum(a**k for k in range(t))
     return total % p == 0
-
-
-def _order(a: int, p: int) -> int:
-    r = a % p
-    acc = r
-    t = 1
-    while acc != 1:
-        acc = acc * r % p
-        t += 1
-    return t
 
 
 def cyc_mersenne_norm(p: int, k: int) -> int:
@@ -343,7 +334,9 @@ def cyc_mersenne_norm(p: int, k: int) -> int:
 
 def conjecture_records(p: int, k_max: int) -> list[dict]:
     """Generalized Mersenne norms for k = +-1 (mod 4p): recorded data only,
-    no perfection claim is attached."""
+    no perfection claim is attached.  For k = d*e, N(pi**d - 1) divides
+    N(pi**k - 1) (pi = 1 - zeta_p), and a proper divisor proves the norm
+    composite with no modular powering; other norms go to is_rational_prime."""
     _check_p(p)
     out = []
     for k in range(2, k_max + 1):
@@ -351,13 +344,16 @@ def conjecture_records(p: int, k_max: int) -> list[dict]:
         if r not in (1, 4 * p - 1):
             continue
         norm = cyc_mersenne_norm(p, k)
+        d = next((d for d in range(2, isqrt(k) + 1) if k % d == 0), None)
+        divisor = cyc_mersenne_norm(p, d) if d else norm
+        composite = 1 < divisor < norm and norm % divisor == 0
         out.append(
             {
                 "p": p,
                 "k": k,
                 "k_mod_4p": r,
                 "norm": str(norm),
-                "norm_is_prime": is_rational_prime(norm),
+                "norm_is_prime": not composite and is_rational_prime(norm),
             }
         )
     return out
@@ -415,7 +411,7 @@ def validate_general_odd_form(
     if not specials:
         return False, "no special entry"
     j0, k, _ = specials[0]
-    modulus = p if j0 == 1 else _order(j0, p)
+    modulus = p if j0 == 1 else residue_degree(j0, p)
     if (k + 1) % modulus != 0:
         return False, (
             f"special exponent {k} is not -1 mod {modulus} for class {j0}"
@@ -423,7 +419,7 @@ def validate_general_odd_form(
     for j, e, special in f.entries:
         if special:
             continue
-        modulus = p if j == 1 else _order(j, p)
+        modulus = p if j == 1 else residue_degree(j, p)
         if (e + 1) % modulus == 0:
             return False, (
                 f"non-special exponent {e} hits -1 mod {modulus} for class {j}"

@@ -11,8 +11,6 @@ on demand.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 from .factorization import Factorization, is_ring_prime
@@ -155,42 +153,17 @@ def _scan_one(args: tuple[str, int]) -> MersenneRecord:
     return mersenne(Ring(ring_value), k)
 
 
-def _load_cache(path: str, ring: Ring) -> dict[int, MersenneRecord]:
-    """Cached records whose element and norm survive recomputation."""
-    out: dict[int, MersenneRecord] = {}
-    if not os.path.exists(path):
-        return out
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = MersenneRecord.from_json(json.loads(line))
-            except (ValueError, KeyError):
-                continue
-            if rec.ring is not ring:
-                continue
-            element = mersenne_element(ring, rec.k)
-            if element == rec.element and element.norm() == rec.norm:
-                out[rec.k] = rec
-    return out
-
-
 def scan(
     ring: Ring,
     k_max: int,
     residues: set[int] | None = None,
-    cache_path: str | None = None,
-    resume: bool = False,
     jobs: int | None = None,
     progress_cb=None,
 ) -> list[MersenneRecord]:
     """Records for every rational prime exponent k <= k_max.
 
     Composite k are skipped (their elements are never prime); the residue
-    filter, when given, keeps only k with k mod 8/12 in the set.  A cache
-    file holds one JSON record per line and is validated on load.
+    filter, when given, keeps only k with k mod 8/12 in the set.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
@@ -201,19 +174,9 @@ def scan(
         if is_rational_prime(k)
         and (residues is None or k % modulus in residues)
     ]
-    cached: dict[int, MersenneRecord] = {}
-    if cache_path and resume:
-        cached = _load_cache(cache_path, ring)
-    todo = [k for k in ks if k not in cached]
-    fresh: list[MersenneRecord] = []
-    for rec in run_chunks(_scan_one, [(ring.value, k) for k in todo], jobs):
-        fresh.append(rec)
+    records: list[MersenneRecord] = []
+    for rec in run_chunks(_scan_one, [(ring.value, k) for k in ks], jobs):
+        records.append(rec)
         if progress_cb is not None:
-            progress_cb(len(cached) + len(fresh))
-    if cache_path and fresh:
-        with open(cache_path, "a", encoding="utf-8") as fh:
-            for rec in fresh:
-                fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-    records = list(cached.values()) + fresh
-    records.sort(key=lambda r: r.k)
+            progress_cb(len(records))
     return records

@@ -1,7 +1,11 @@
 """Rational-integer primality testing and factorization.
 
-Primality is deterministic below 2**64 (fixed Miller-Rabin witness set) and
-probabilistic above, with trial division by all primes below 10**4 first.
+Primality runs trial division by all primes below 10**4 first.  Below 2**64
+it is deterministic (fixed Miller-Rabin witness set).  Above, an n whose
+n - 1 is divisible by a power F of 2 or 3 with F*F > n (as is the norm of
+min**k - 1 for odd k in both quadratic rings) is proven prime or composite
+by Pocklington's criterion; any other n, and one no small base decides, is
+probable prime after MR_ROUNDS_LARGE random Miller-Rabin rounds.
 Factoring runs trial division and then Brent's cycle-finding variant of
 Pollard rho.  All randomized pieces draw from generators seeded by the
 documented constants below, so results are reproducible run to run.
@@ -52,6 +56,38 @@ def _miller_rabin(n: int, a: int) -> bool:
     return False
 
 
+def _pocklington(n: int) -> bool | None:
+    """True or False when Pocklington's criterion decides n, else None.
+
+    If F divides n - 1 with F*F > n, a base a with a**(n-1) = 1 (mod n) and
+    gcd(a**((n-1)/q) - 1, n) = 1 for the prime q of F proves n prime
+    (Pocklington 1914), and a**(n-1) != 1 proves it composite.  F is the
+    least power of q = 2 or 3 with F*F > n.  Once a**(n-1) = 1 the gcd is 1
+    or n (a proper one would split n into two cofactors that are 1 mod F),
+    so a base with gcd n proves nothing and the next one is tried.  Base q
+    is skipped: q is a unit times min**2 (N(min) = q), so q**(12k) = 1
+    modulo min**k - 1, and on the norms of the Mersenne scans (prime k) q
+    never decides.
+    """
+    s = isqrt(n)
+    for q in (2, 3):
+        f = q
+        while f <= s:
+            f *= q
+        if (n - 1) % f:
+            continue
+        for a in SMALL_PRIMES:
+            if a == q:
+                continue
+            x = pow(a, (n - 1) // q, n)
+            if pow(x, q, n) != 1:
+                return False
+            if gcd(x - 1, n) == 1:
+                return True
+        return None
+    return None
+
+
 def is_rational_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -64,6 +100,9 @@ def is_rational_prime(n: int) -> bool:
             return True
     if n < 1 << 64:
         return all(_miller_rabin(n, a) for a in _MR_WITNESSES_64)
+    proven = _pocklington(n)
+    if proven is not None:
+        return proven
     rng = random.Random(PRIMALITY_SEED ^ n)
     return all(
         _miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(MR_ROUNDS_LARGE)

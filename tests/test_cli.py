@@ -112,16 +112,6 @@ class TestMersenneCommand:
         assert lines[0].startswith("k,element,norm")
         assert any(line.startswith("11,") for line in lines)
 
-    def test_cache(self, capsys, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        run_json(capsys, "mersenne", "--ring", "eisenstein", "--max-k", "20",
-                 "--cache", path)
-        first = open(path).read()
-        obj = run_json(capsys, "mersenne", "--ring", "eisenstein", "--max-k", "20",
-                       "--cache", path, "--resume")
-        assert open(path).read() == first
-        assert [rec["k"] for rec in obj["records"]] == [2, 3, 5, 7, 11, 13, 17, 19]
-
 
 class TestSearchCommands:
     def test_search_odd_gaussian(self, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cycloperfect import cyclotomic
 from cycloperfect.cyclotomic import (
     AbstractOddFactorization,
     CycElement,
@@ -19,6 +20,7 @@ from cycloperfect.cyclotomic import (
     validate_general_odd_form,
 )
 from cycloperfect.mersenne import mersenne_element
+from cycloperfect.rational import is_rational_prime
 from cycloperfect.rings import EISENSTEIN, QuadInt
 
 SMALL_Q = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -191,6 +193,30 @@ class TestMersenneNorms:
         for r in records:
             assert r["k_mod_4p"] in (1, 19)
             assert int(r["norm"]) == cyc_mersenne_norm(5, r["k"])
+
+    def test_conjecture_records_primality(self, monkeypatch):
+        want = {}
+        for p in SUPPORTED_PRIMES:
+            records = conjecture_records(p, 200)
+            want[p] = [
+                {**r, "norm_is_prime": is_rational_prime(int(r["norm"]))}
+                for r in records
+            ]
+            assert records == want[p], p
+        # composite k are settled by the divisor N(pi**d - 1) alone
+        tested = []
+
+        def recording(n):
+            tested.append(n)
+            return is_rational_prime(n)
+
+        monkeypatch.setattr(cyclotomic, "is_rational_prime", recording)
+        for p in SUPPORTED_PRIMES:
+            assert conjecture_records(p, 200) == want[p], p
+            prime_k = [r for r in want[p] if is_rational_prime(r["k"])]
+            assert tested == [int(r["norm"]) for r in prime_k], p
+            assert len(prime_k) < len(want[p]), p
+            tested.clear()
 
 
 class TestCrossRing:

@@ -1,7 +1,6 @@
-import json
-
 import pytest
 
+from cycloperfect import rational
 from cycloperfect.divisors import Status, classify, sigma_from_factorization
 from cycloperfect.mersenne import (
     MersenneRecord,
@@ -182,39 +181,25 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(EISENSTEIN, 1)
 
-    def test_cache_roundtrip(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        first = scan(EISENSTEIN, 40, cache_path=path, jobs=1)
-        with open(path) as fh:
-            lines = [json.loads(line) for line in fh]
-        assert len(lines) == len(first)
-        second = scan(EISENSTEIN, 40, cache_path=path, resume=True, jobs=1)
-        assert second == first
-        # nothing new appended on a warm resume
-        with open(path) as fh:
-            assert len(fh.readlines()) == len(first)
-        # a partial cache extended by the pool matches a serial scan
-        done = []
-        third = scan(
-            EISENSTEIN, 90, cache_path=path, resume=True, jobs=2,
-            progress_cb=done.append,
-        )
-        assert third == scan(EISENSTEIN, 90, jobs=1)
-        assert done == list(range(len(first) + 1, len(third) + 1))
-
-    def test_cache_rejects_corrupt_lines(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        scan(EISENSTEIN, 20, cache_path=path, jobs=1)
-        lines = open(path).read().splitlines()
-        doctored = json.loads(lines[0])
-        doctored["norm"] = "999"
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doctored) + "\n")
-            fh.write("not json\n")
-            for line in lines[1:]:
-                fh.write(line + "\n")
-        records = scan(EISENSTEIN, 20, cache_path=path, resume=True, jobs=1)
-        assert records == scan(EISENSTEIN, 20, jobs=1)
-
     def test_parallel_matches_serial(self):
-        assert scan(EISENSTEIN, 80, jobs=2) == scan(EISENSTEIN, 80, jobs=1)
+        done = []
+        parallel = scan(EISENSTEIN, 90, jobs=2, progress_cb=done.append)
+        assert parallel == scan(EISENSTEIN, 90, jobs=1)
+        assert done == list(range(1, len(parallel) + 1))
+
+    def test_large_norms_are_proven(self, monkeypatch):
+        # every quadratic Mersenne norm of 2**64 or more is decided by
+        # Pocklington, never by the random Miller-Rabin rounds
+        want = {ring: scan(ring, 400, jobs=1) for ring in Ring}
+        assert any(r.is_prime and r.norm >= 1 << 64 for r in want[GAUSSIAN])
+        assert any(r.is_prime and r.norm >= 1 << 64 for r in want[EISENSTEIN])
+        plain = rational._miller_rabin
+
+        def deterministic_only(n, a):
+            if n >= 1 << 64:
+                raise AssertionError(f"random Miller-Rabin round on {n}")
+            return plain(n, a)
+
+        monkeypatch.setattr(rational, "_miller_rabin", deterministic_only)
+        for ring in Ring:
+            assert scan(ring, 400, jobs=1) == want[ring]

@@ -1,7 +1,10 @@
+import math
 import random
 
 import pytest
 
+from cycloperfect import rational
+from cycloperfect.mersenne import mersenne_element
 from cycloperfect.rational import (
     SMALL_PRIMES,
     factor_rational,
@@ -9,6 +12,7 @@ from cycloperfect.rational import (
     is_rational_prime,
     smallest_prime_factor_sieve,
 )
+from cycloperfect.rings import Ring
 
 
 def brute_force_is_prime(n):
@@ -49,7 +53,8 @@ class TestPrimality:
             assert is_rational_prime(n) == brute_force_is_prime(n), n
 
     def test_large_primes(self):
-        # Mersenne-scale inputs exercise the >64-bit randomized path
+        # 2**89 - 1 and the product exercise the >64-bit randomized path; the
+        # Eisenstein Mersenne norm for k = 193 takes the Pocklington path
         assert is_rational_prime(2**89 - 1)
         assert not is_rational_prime((2**89 - 1) * (2**61 - 1))
         assert is_rational_prime(3**193 - 3**97 + 1)
@@ -57,6 +62,92 @@ class TestPrimality:
     def test_deterministic(self):
         n = 2**127 - 1
         assert is_rational_prime(n) == is_rational_prime(n)
+
+
+def miller_rabin_oracle(n, rounds=40):
+    """A plain strong-probable-prime test with random bases."""
+    if n < 4 or n % 2 == 0:
+        return n in (2, 3)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    rng = random.Random(n)
+    for _ in range(rounds):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestPocklington:
+    def test_mersenne_norms_agree_with_oracle(self):
+        # every k <= 400, prime (the scans' norms) or composite: each norm of
+        # 2**64 or more that trial division leaves is proven either way
+        for ring in Ring:
+            for k in range(2, 401):
+                n = mersenne_element(ring, k).norm()
+                want = miller_rabin_oracle(n)
+                assert is_rational_prime(n) == want, (ring, k)
+                if n >= 1 << 64 and all(n % p for p in SMALL_PRIMES):
+                    assert rational._pocklington(n) == want, (ring, k)
+                    if is_rational_prime(k):
+                        # why _pocklington skips base c = N(min)
+                        c = ring.minimal_prime.norm()
+                        assert pow(c, (n - 1) // c, n) == 1, (ring, k)
+
+    def test_fermat_numbers(self):
+        # n - 1 = 2**64 and 2**128; base 2 (skipped) would have x = 1, and
+        # base 3 is a Fermat witness
+        f6, f7 = 2**64 + 1, 2**128 + 1
+        assert f6 == 274177 * 67280421310721
+        assert all(f7 % p for p in SMALL_PRIMES)
+        for n in (f6, f7):
+            assert pow(2, (n - 1) // 2, n) == 1
+            assert pow(3, n - 1, n) != 1
+            assert rational._pocklington(n) is False
+            assert not is_rational_prime(n)
+
+    def test_bases_can_run_out(self, monkeypatch):
+        # with only bases that are squares mod n, every x is 1, the
+        # criterion is silent and Miller-Rabin decides
+        n = mersenne_element(Ring.GAUSSIAN, 113).norm()
+        squares = [a for a in SMALL_PRIMES[:30] if pow(a, (n - 1) // 2, n) == 1]
+        assert n >= 1 << 64 and len(squares) > 5
+        assert rational._pocklington(n) is True
+        monkeypatch.setattr(rational, "SMALL_PRIMES", squares)
+        assert rational._pocklington(n) is None
+        assert is_rational_prime(n)
+
+    def test_gcd_step_is_one_or_n(self):
+        # why _pocklington has no 1 < gcd < n branch: with F | n - 1 and
+        # F*F > n, every base passing Fermat has gcd 1 or n (checked over
+        # all bases of every composite n < 4000 that has such an F)
+        checked = 0
+        for n in range(4, 4000):
+            if brute_force_is_prime(n):
+                continue
+            for q in (2, 3):
+                f = q
+                while f * f <= n:
+                    f *= q
+                if (n - 1) % f:
+                    continue
+                for a in range(2, n - 1):
+                    if pow(a, n - 1, n) == 1:
+                        g = math.gcd(pow(a, (n - 1) // q, n) - 1, n)
+                        assert g in (1, n), (n, a, g)
+                        checked += 1
+        assert checked > 4000
+
+    def test_no_power_of_two_or_three(self):
+        n = 2**89 - 1  # 2 and 3 each divide n - 1 exactly once
+        assert rational._pocklington(n) is None
 
 
 class TestFactorRational:
