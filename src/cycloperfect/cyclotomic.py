@@ -1,12 +1,13 @@
 """Arithmetic in Z[zeta_p] for the class-number-1 primes p.
 
 Elements are integer coefficient vectors of length p-1 reduced by the
-cyclotomic polynomial 1 + x + ... + x^(p-1).  Norms come from an exact
-fraction-free resultant (Bareiss elimination on the Sylvester matrix), so
-they stay correct at any coefficient size.  No positive-representative
-system exists here for p >= 5; the module provides norms, evenness, the
-ramification identity, residue degrees and splitting patterns, generalized
-Mersenne norms, and the abstract odd-form congruence validator.
+cyclotomic polynomial 1 + x + ... + x^(p-1).  Norms are determinants of the
+(p-1)-square multiplication matrix by exact fraction-free (Bareiss)
+elimination, so they stay correct at any coefficient size.  No
+positive-representative system exists here for p >= 5; the module provides
+norms, evenness, the ramification identity, residue degrees and splitting
+patterns, generalized Mersenne norms, and the abstract odd-form congruence
+validator.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .rational import is_rational_prime
+from .rational import divisor_in_classes, is_rational_prime
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
@@ -155,27 +156,15 @@ def _bareiss_determinant(m: list[list[int]]) -> int:
 
 
 def cyc_norm(x: CycElement) -> int:
-    """The field norm as the resultant of the cyclotomic polynomial with the
-    coefficient polynomial of x."""
-    p = x.p
-    g = list(x.coeffs)
-    while g and g[-1] == 0:
-        g.pop()
-    if not g:
-        return 0
-    n = len(g) - 1  # degree of g
-    if n == 0:
-        return g[0] ** (p - 1)
-    m = p - 1  # degree of the cyclotomic polynomial, all coefficients 1
-    f = [1] * p
-    size = m + n
-    rows: list[list[int]] = []
-    fd = f[::-1]  # descending
-    gd = g[::-1]
-    for i in range(n):
-        rows.append([0] * i + fd + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gd + [0] * (size - n - 1 - i))
+    """The field norm: the determinant of multiplication by x on the basis
+    1, zeta, ..., zeta**(p-2).  Row i holds x * zeta**i, each row the one
+    above times zeta with zeta**(p-1) = -(1 + zeta + ... + zeta**(p-2))."""
+    row = list(x.coeffs)
+    rows = []
+    for _ in range(x.p - 1):
+        rows.append(row)
+        top = row[-1]
+        row = [-top] + [c - top for c in row[:-1]]
     return _bareiss_determinant(rows)
 
 
@@ -336,7 +325,9 @@ def conjecture_records(p: int, k_max: int) -> list[dict]:
     """Generalized Mersenne norms for k = +-1 (mod 4p): recorded data only,
     no perfection claim is attached.  For k = d*e, N(pi**d - 1) divides
     N(pi**k - 1) (pi = 1 - zeta_p), and a proper divisor proves the norm
-    composite with no modular powering; other norms go to is_rational_prime."""
+    composite with no modular powering.  For prime k the norm is first
+    searched for a divisor of the form its primes must have (l**(p-1) = 1
+    mod k, see divisor_in_classes); other norms go to is_rational_prime."""
     _check_p(p)
     out = []
     for k in range(2, k_max + 1):
@@ -345,7 +336,10 @@ def conjecture_records(p: int, k_max: int) -> list[dict]:
             continue
         norm = cyc_mersenne_norm(p, k)
         d = next((d for d in range(2, isqrt(k) + 1) if k % d == 0), None)
-        divisor = cyc_mersenne_norm(p, d) if d else norm
+        if d:
+            divisor = cyc_mersenne_norm(p, d)
+        else:
+            divisor = divisor_in_classes(norm, k, p - 1) or norm
         composite = 1 < divisor < norm and norm % divisor == 0
         out.append(
             {

@@ -3,10 +3,11 @@
 
 The element itself is computed by exact powering; primality reduces to
 rational primality of the norm, with the one escape hatch of an element
-that is an associate of an inert rational prime (norm q**2).  Composite
-exponents are skipped in scans: k = m*n factors the element as
-(min**m - 1) * sum_j (min**m)**j, and the witness for that is available
-on demand.
+that is an associate of an inert rational prime (norm q**2).  For prime k,
+a small divisor of the norm of the forced form +-1 (mod 2k) proves a
+composite before any modular power.  Composite exponents are skipped in
+scans: k = m*n factors the element as (min**m - 1) * sum_j (min**m)**j, and
+the witness for that is available on demand.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .factorization import Factorization, is_ring_prime
 from .parallel import run_chunks
-from .rational import is_rational_prime
+from .rational import divisor_in_classes, is_rational_prime
 from .rings import QuadInt, Ring
 
 # Residues k mod 12 that an even norm-perfect exponent can have.
@@ -51,18 +52,6 @@ class MersenneRecord:
             "prime_exponent_ok": self.prime_exponent_ok,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "MersenneRecord":
-        return MersenneRecord(
-            ring=Ring(obj["ring"]),
-            k=int(obj["k"]),
-            element=QuadInt.from_json(obj["element"]),
-            norm=int(obj["norm"]),
-            k_residue=int(obj["k_residue"]),
-            is_prime=bool(obj["is_prime"]),
-            prime_exponent_ok=bool(obj["prime_exponent_ok"]),
-        )
-
 
 def mersenne_element(ring: Ring, k: int) -> QuadInt:
     if k < 1:
@@ -72,14 +61,19 @@ def mersenne_element(ring: Ring, k: int) -> QuadInt:
 
 def mersenne(ring: Ring, k: int) -> MersenneRecord:
     element = mersenne_element(ring, k)
+    norm = element.norm()
+    prime_exponent_ok = is_rational_prime(k)
+    # a proper divisor g of the norm proves the element composite unless
+    # norm == g*g, which a prime (an associate of an inert q) can have
+    g = divisor_in_classes(norm, k, 2) if prime_exponent_ok else None
     return MersenneRecord(
         ring=ring,
         k=k,
         element=element,
-        norm=element.norm(),
+        norm=norm,
         k_residue=k % k_residue_modulus(ring),
-        is_prime=is_ring_prime(element),
-        prime_exponent_ok=is_rational_prime(k),
+        is_prime=(g is None or g * g == norm) and is_ring_prime(element),
+        prime_exponent_ok=prime_exponent_ok,
     )
 
 
@@ -174,9 +168,13 @@ def scan(
         if is_rational_prime(k)
         and (residues is None or k % modulus in residues)
     ]
+    # largest exponent first: the cost grows steeply with k, and the pool
+    # then ends on small exponents instead of one core running a large one
     records: list[MersenneRecord] = []
-    for rec in run_chunks(_scan_one, [(ring.value, k) for k in ks], jobs):
+    work = [(ring.value, k) for k in reversed(ks)]
+    for rec in run_chunks(_scan_one, work, jobs):
         records.append(rec)
         if progress_cb is not None:
             progress_cb(len(records))
+    records.reverse()
     return records

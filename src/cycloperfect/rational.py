@@ -5,7 +5,9 @@ it is deterministic (fixed Miller-Rabin witness set).  Above, an n whose
 n - 1 is divisible by a power F of 2 or 3 with F*F > n (as is the norm of
 min**k - 1 for odd k in both quadratic rings) is proven prime or composite
 by Pocklington's criterion; any other n, and one no small base decides, is
-probable prime after MR_ROUNDS_LARGE random Miller-Rabin rounds.
+probable prime after MR_ROUNDS_LARGE random Miller-Rabin rounds.  Before
+any of that, a Mersenne norm of prime exponent k can be proven composite by
+a divisor of the form its primes are forced to have (divisor_in_classes).
 Factoring runs trial division and then Brent's cycle-finding variant of
 Pollard rho.  All randomized pieces draw from generators seeded by the
 documented constants below, so results are reproducible run to run.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
+from itertools import count, islice
 from math import gcd, isqrt
 
 # Seeds for the randomized splitting / large-number witness choices.
@@ -85,6 +88,41 @@ def _pocklington(n: int) -> bool | None:
             if gcd(x - 1, n) == 1:
                 return True
         return None
+    return None
+
+
+def divisor_in_classes(n: int, k: int, degree: int) -> int | None:
+    """A divisor g of n with 1 < g < n among the odd l with
+    l**degree = 1 (mod k), or None.
+
+    For prime k, every odd prime factor of the norm of min**k - 1
+    (degree 2) or of (1 - zeta_p)**k - 1 (degree p - 1) has that form:
+    pi - 1 is a unit, so pi has order k modulo each prime above l, and k
+    divides l**f - 1 with f | degree.  The walk takes the first
+    n.bit_length() such l in increasing order and multiplies them into
+    batches of about n.bit_length() bits, one gcd per batch, so it costs a
+    small fraction of one modular power.  Correctness does not rest on the
+    form: a returned g always divides n properly.
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    step = 2 * k
+    classes = [r for r in range(1, step, 2) if pow(r, degree, k) == 1]
+    candidates = (b + r for b in count(0, step) for r in classes if b + r > 1)
+    bits = n.bit_length()
+    batch, members = 1, []
+    for i, ell in enumerate(islice(candidates, bits), 1):
+        batch *= ell
+        members.append(ell)
+        if batch.bit_length() < bits and i < bits:
+            continue
+        g = gcd(n, batch)
+        if g == n:
+            # n divides this batch: try its members one by one
+            g = next((h for m in members if 1 < (h := gcd(n, m)) < n), 1)
+        if g > 1:
+            return g
+        batch, members = 1, []
     return None
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cycloperfect import cyclotomic
+from cycloperfect import cyclotomic, rational
 from cycloperfect.cyclotomic import (
     AbstractOddFactorization,
     CycElement,
@@ -94,6 +94,44 @@ class TestNorm:
                         conj = conj + term
                     product = product * conj
                 assert product.coeffs == (cyc_norm(x),) + (0,) * (p - 2)
+
+
+def sylvester_norm(x):
+    """Oracle: the resultant of the cyclotomic polynomial with the
+    coefficient polynomial of x, from the (2p-3)-square Sylvester matrix."""
+    p = x.p
+    g = list(x.coeffs)
+    while g and g[-1] == 0:
+        g.pop()
+    if not g:
+        return 0
+    n = len(g) - 1
+    if n == 0:
+        return g[0] ** (p - 1)
+    m = p - 1
+    size = m + n
+    fd, gd = [1] * p, g[::-1]
+    rows = [[0] * i + fd + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + gd + [0] * (size - n - 1 - i) for i in range(m)]
+    return cyclotomic._bareiss_determinant(rows)
+
+
+class TestNormOracle:
+    def test_random_elements(self):
+        rng = random.Random(103)
+        for p in SUPPORTED_PRIMES:
+            for _ in range(150):
+                # short and constant elements too, whose top coefficients are 0
+                length = rng.randint(1, p - 1)
+                coeffs = [rng.randint(-9, 9) for _ in range(length)]
+                x = CycElement(p, coeffs)
+                assert cyc_norm(x) == sylvester_norm(x), (p, coeffs)
+
+    def test_mersenne_norms(self):
+        for p in SUPPORTED_PRIMES:
+            for k in range(1, 121):
+                x = one_minus_zeta(p) ** k - CycElement.from_int(p, 1)
+                assert cyc_mersenne_norm(p, k) == sylvester_norm(x), (p, k)
 
 
 class TestEvenness:
@@ -203,21 +241,53 @@ class TestMersenneNorms:
                 for r in records
             ]
             assert records == want[p], p
-        # composite k are settled by the divisor N(pi**d - 1) alone
+        # composite k are settled by the divisor N(pi**d - 1) alone; a prime-k
+        # norm goes to is_rational_prime unless the divisor search splits it
         tested = []
+        divisors = {}
 
         def recording(n):
             tested.append(n)
             return is_rational_prime(n)
 
+        def searching(n, k, degree):
+            g = rational.divisor_in_classes(n, k, degree)
+            if g is not None:
+                divisors[n] = g
+            return g
+
         monkeypatch.setattr(cyclotomic, "is_rational_prime", recording)
+        monkeypatch.setattr(cyclotomic, "divisor_in_classes", searching)
         for p in SUPPORTED_PRIMES:
             assert conjecture_records(p, 200) == want[p], p
             prime_k = [r for r in want[p] if is_rational_prime(r["k"])]
-            assert tested == [int(r["norm"]) for r in prime_k], p
+            for r in prime_k:
+                n = int(r["norm"])
+                assert (n in tested) != (n in divisors and n % divisors[n] == 0), p
+            assert len(tested) + len(divisors) == len(prime_k), p
             assert len(prime_k) < len(want[p]), p
             tested.clear()
+            divisors.clear()
 
+
+    def test_divisor_search_changes_no_record(self, monkeypatch):
+        want = {p: conjecture_records(p, 200) for p in SUPPORTED_PRIMES}
+        found = []
+        search = cyclotomic.divisor_in_classes
+
+        def recording(n, k, degree):
+            g = search(n, k, degree)
+            if g is not None:
+                found.append((n, g))
+            return g
+
+        monkeypatch.setattr(cyclotomic, "divisor_in_classes", recording)
+        for p in SUPPORTED_PRIMES:
+            assert conjecture_records(p, 200) == want[p], p
+        assert found and all(n % g == 0 for n, g in found)
+        monkeypatch.setattr(cyclotomic, "divisor_in_classes", lambda n, k, d: None)
+        for p in SUPPORTED_PRIMES:
+            assert conjecture_records(p, 200) == want[p], p
 
 class TestCrossRing:
     def test_norm_and_evenness_match_quadratic(self):

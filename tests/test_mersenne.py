@@ -1,9 +1,10 @@
+import importlib
+
 import pytest
 
 from cycloperfect import rational
 from cycloperfect.divisors import Status, classify, sigma_from_factorization
 from cycloperfect.mersenne import (
-    MersenneRecord,
     candidate_factorization,
     composite_exponent_witness,
     construct_even_candidate,
@@ -56,7 +57,6 @@ class TestRecords:
 
     def test_json_roundtrip(self):
         rec = mersenne(EISENSTEIN, 11)
-        assert MersenneRecord.from_json(rec.to_json()) == rec
         assert rec.to_json()["norm"] == "176419"
 
 
@@ -185,6 +185,7 @@ class TestScan:
         done = []
         parallel = scan(EISENSTEIN, 90, jobs=2, progress_cb=done.append)
         assert parallel == scan(EISENSTEIN, 90, jobs=1)
+        assert [r.k for r in parallel] == sorted(r.k for r in parallel)
         assert done == list(range(1, len(parallel) + 1))
 
     def test_large_norms_are_proven(self, monkeypatch):
@@ -203,3 +204,25 @@ class TestScan:
         monkeypatch.setattr(rational, "_miller_rabin", deterministic_only)
         for ring in Ring:
             assert scan(ring, 400, jobs=1) == want[ring]
+
+    def test_divisor_search_changes_no_record(self, monkeypatch):
+        # a divisor of the forced form only settles a composite earlier: with
+        # the search finding nothing, every record is the same
+        module = importlib.import_module("cycloperfect.mersenne")
+        for ring in Ring:
+            found = []
+            search = module.divisor_in_classes
+
+            def recording(n, k, degree):
+                g = search(n, k, degree)
+                if g is not None and g * g != n:
+                    found.append(k)
+                return g
+
+            monkeypatch.setattr(module, "divisor_in_classes", recording)
+            want = scan(ring, 400, jobs=1)
+            assert found, ring  # some composite norm was decided by a divisor
+            assert all(not r.is_prime for r in want if r.k in found), ring
+            monkeypatch.setattr(module, "divisor_in_classes", lambda n, k, d: None)
+            assert scan(ring, 400, jobs=1) == want, ring
+            monkeypatch.undo()

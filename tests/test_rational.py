@@ -150,6 +150,44 @@ class TestPocklington:
         assert rational._pocklington(n) is None
 
 
+class TestDivisorInClasses:
+    def test_mersenne_2_11(self):
+        # 2**11 - 1 = 23 * 89, both 1 (mod 22)
+        assert rational.divisor_in_classes(2**11 - 1, 11, 1) == 23
+
+    def test_whole_norm_in_one_batch(self):
+        # 23 and 45 are the first two candidates and fill one batch, so the
+        # batch gcd is n itself and the members are tried one by one
+        assert rational.divisor_in_classes(23 * 45, 11, 1) == 23
+        assert rational.divisor_in_classes(23 * 23, 11, 1) == 23
+
+    def test_primes_give_none(self):
+        for p in SMALL_PRIMES:
+            for k in (2, 3, 5, 7, 11, 13):
+                assert rational.divisor_in_classes(p, k, 2) is None, (p, k)
+        for ring in Ring:
+            for k in range(2, 401):
+                n = mersenne_element(ring, k).norm()
+                if is_rational_prime(k) and is_rational_prime(n):
+                    assert rational.divisor_in_classes(n, k, 2) is None, (ring, k)
+
+    def test_divisors_are_proper(self):
+        rng = random.Random(101)
+        found = 0
+        for _ in range(2000):
+            n = rng.randint(2, 10**9)
+            k = rng.choice((2, 3, 5, 7, 11, 13, 17, 19))
+            g = rational.divisor_in_classes(n, k, rng.choice((1, 2, 4, 6)))
+            if g is not None:
+                assert 1 < g < n and n % g == 0, (n, k, g)
+                found += 1
+        assert found > 100
+
+    def test_k_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            rational.divisor_in_classes(35, 1, 2)
+
+
 class TestFactorRational:
     def test_examples(self):
         assert factor_rational(2047).factors == ((23, 1), (89, 1))
