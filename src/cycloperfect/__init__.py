@@ -22,8 +22,8 @@ from .divisors import (
 from .factorization import Factorization, factor, is_ring_prime, prime_above
 from .mersenne import (
     MersenneRecord,
+    candidate_factorization,
     composite_exponent_witness,
-    construct_even_candidate,
     mersenne,
     mersenne_norm_closed_form,
     scan,
@@ -64,13 +64,13 @@ __all__ = [
     "Ring",
     "SearchReport",
     "Status",
+    "candidate_factorization",
     "check_mcdaniel_inequality",
     "check_odd_power_divisibility",
     "check_rational_perfect_remark",
     "check_spira_inequality",
     "classify",
     "composite_exponent_witness",
-    "construct_even_candidate",
     "divisor_sum_oracle",
     "factor",
     "factor_rational",

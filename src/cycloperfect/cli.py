@@ -169,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_find_primes)
     p.add_argument("--ring", type=_ring, required=True)
     p.add_argument("--max-norm", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
 
     p = sub.add_parser("check-remark", help="rational perfect numbers are not Eisenstein norm-perfect")
     p.set_defaults(func=_cmd_check_remark)
@@ -285,7 +284,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_find_primes(args) -> int:
-    primes = find_normperfect_primes(args.ring, args.max_norm, jobs=args.jobs)
+    primes = find_normperfect_primes(args.ring, args.max_norm)
     _emit(
         {
             "ring": args.ring.value,

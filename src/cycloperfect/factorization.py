@@ -54,16 +54,6 @@ class Factorization:
             obj["element"] = element.to_json()
         return obj
 
-    @staticmethod
-    def from_json(obj: dict) -> "Factorization":
-        return Factorization(
-            QuadInt.from_json(obj["unit"]),
-            tuple(
-                (QuadInt.from_json(f["prime"]), int(f["exp"]))
-                for f in obj["factors"]
-            ),
-        )
-
 
 def is_ring_prime(x: QuadInt) -> bool:
     """Prime elements have prime norm, or are associates of an inert rational

@@ -111,15 +111,6 @@ def composite_exponent_witness(ring: Ring, k: int) -> tuple[QuadInt, QuadInt]:
     return left, right
 
 
-def construct_even_candidate(
-    ring: Ring, k: int, variant: str = "plain", unit: QuadInt | None = None
-) -> QuadInt:
-    """unit * minimal**(k-1) * M  (or * conjugate(M) for the conjugated
-    variant), where M = minimal**k - 1 must be prime."""
-    element, fac = candidate_factorization(ring, k, variant, unit)
-    return element
-
-
 def candidate_factorization(
     ring: Ring, k: int, variant: str = "plain", unit: QuadInt | None = None
 ) -> tuple[QuadInt, Factorization]:

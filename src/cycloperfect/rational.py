@@ -28,7 +28,9 @@ FACTOR_SEED = 0xB1D_5EED
 TRIAL_DIVISION_BOUND = 10_000
 MR_ROUNDS_LARGE = 40
 
-# Deterministic Miller-Rabin witnesses, sufficient for all n < 3.3e24 > 2**64.
+# The first 12 primes as Miller-Rabin witnesses decide every
+# n < psi12 = 318665857834031151167461 (Sorenson and Webster 2017); the code
+# uses them only below 2**64.
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

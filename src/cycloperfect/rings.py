@@ -206,21 +206,36 @@ class QuadInt:
     def sector_canonical(self) -> tuple["QuadInt", "QuadInt"]:
         """Split x = u * y with u a unit and y the sector representative.
 
-        Exactly one associate lies in the sector; in debug builds this
-        uniqueness is asserted.
+        The units are the powers g**k of i (Gaussian) or 1+w (Eisenstein);
+        y = x * g**k and u = g**-k, where the signs of a, b and a - b pick k:
+        the quadrant of x (Gaussian) or its sextant (Eisenstein).
         """
+        a, b = self.a, self.b
         if not self:
             raise ZeroDivisionError("zero has no sector representative")
-        found = None
-        for v in self.ring.units:
-            y = self * v
-            if y.in_sector():
-                if not __debug__:
-                    return v.conjugate(), y
-                assert found is None, f"sector not unique for {self}"
-                found = (v.conjugate(), y)
-        assert found is not None, f"no sector associate for {self}"
-        return found
+        if self.ring is Ring.GAUSSIAN:
+            if a > 0 and b >= 0:
+                k = 0
+            elif b < 0 <= a:
+                k = 1
+            elif a < 0 and b <= 0:
+                k = 2
+            else:  # a <= 0 < b
+                k = 3
+        elif a > b >= 0:
+            k = 0
+        elif b < 0 <= a:
+            k = 1
+        elif b <= a < 0:
+            k = 2
+        elif a < b <= 0:
+            k = 3
+        elif a <= 0 < b:
+            k = 4
+        else:  # 0 < a <= b
+            k = 5
+        units = self.ring.units
+        return units[-k], self * units[k]
 
     # -- Euclidean structure --------------------------------------------------
 

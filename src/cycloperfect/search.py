@@ -34,6 +34,8 @@ from .rings import QuadInt, Ring
 
 DEFAULT_SCAN_LIMIT = 200_000
 _CHUNK_TARGET_POINTS = 6_000
+# a factor sweep stops after the first point at which it holds more failures
+_MAX_FAILURES = 20
 
 
 class ScanInvariantError(RuntimeError):
@@ -109,7 +111,8 @@ _CTX: dict = {}
 
 
 def _build_context(ring: Ring, bound: int) -> None:
-    """Publish the sieve and the prime tables of the norm lane.
+    """Publish the sieve and the prime tables of the norm lane, the one
+    enumeration of the sector's primes (sector_primes reads it too).
 
     split maps each split rational prime q up to the bound to
     (pi, pi_bar, t, norms, bar_norms): pi and pi_bar are the two sector
@@ -176,17 +179,30 @@ def _factor_point(ring: Ring, a: int, b: int, n: int) -> Factorization:
     )
 
 
-def _oracle_chunk(chunk: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
+def _sweep_chunk(args) -> tuple[int, list[list]]:
+    """Factor each point of the chunk and collect the non-empty results of
+    check(x, fac, n), one list per failing point, stopping once more than
+    _MAX_FAILURES are held."""
+    chunk, check = args
     ring, bound = _CTX["ring"], _CTX["bound"]
-    checked = 0
-    mismatches: list[tuple[int, int]] = []
+    checked = held = 0
+    failures: list[list] = []
     for a in range(*chunk):
         for b, n in strip_points(ring, bound, a):
-            fac = _factor_point(ring, a, b, n)
-            if sigma_from_factorization(fac) != divisor_sum_from_factorization(fac):
-                mismatches.append((a, b))
+            found = check(QuadInt(ring, a, b), _factor_point(ring, a, b, n), n)
             checked += 1
-    return checked, mismatches
+            if found:
+                failures.append(found)
+                held += len(found)
+                if held > _MAX_FAILURES:
+                    return checked, failures
+    return checked, failures
+
+
+def _oracle_check(x: QuadInt, fac: Factorization, n: int) -> list[QuadInt]:
+    if sigma_from_factorization(fac) != divisor_sum_from_factorization(fac):
+        return [x]
+    return []
 
 
 def _sigma_norm(pi: QuadInt, norms: list[int], j: int) -> int:
@@ -291,26 +307,28 @@ def _classify_chunk(args) -> tuple[int, int, list[dict]]:
     return scanned, pruned, findings
 
 
-def _prime_chunk(chunk: tuple[int, int]) -> list[tuple[int, int]]:
-    ring, bound = _CTX["ring"], _CTX["bound"]
-    spf = _CTX["spf"]
-    char = ring.residue_char
-    hits: list[tuple[int, int]] = []
-    for a in range(*chunk):
-        for b, n in strip_points(ring, bound, a):
-            if n < 2 or spf[n] != n:
-                continue
-            # sigma(psi) = 1 + psi for a canonical prime psi
-            if ring is Ring.GAUSSIAN:
-                sn = (a + 1) * (a + 1) + b * b
-            else:
-                sn = (a + 1) * (a + 1) - (a + 1) * b + b * b
-            if sn == char * n:
-                hits.append((a, b))
-    return hits
-
-
 # -- public sweeps ---------------------------------------------------------------
+
+
+def factor_sweep(
+    ring: Ring, bound: int, check, jobs: int | None = None
+) -> tuple[int, list]:
+    """Factor every class representative of norm <= bound and run
+    check(x, fac, n) on each; check is a module-level function returning a
+    list of failures.  Returns (checked, failures) with the failures in
+    sector order, stopping after the first point at which more than
+    _MAX_FAILURES are held."""
+    _build_context(ring, bound)
+    checked = 0
+    failures: list = []
+    work = [(c, check) for c in _chunks(ring, bound)]
+    for c, found in run_chunks(_sweep_chunk, work, jobs):
+        checked += c
+        for point_failures in found:
+            failures.extend(point_failures)
+            if len(failures) > _MAX_FAILURES:
+                return checked, failures
+    return checked, failures
 
 
 def oracle_equivalence_sweep(
@@ -318,13 +336,17 @@ def oracle_equivalence_sweep(
 ) -> tuple[int, list[QuadInt]]:
     """Compare sigma with the divisor-enumeration oracle on every class
     representative of norm <= bound; returns (checked, mismatches)."""
+    return factor_sweep(ring, bound, _oracle_check, jobs)
+
+
+def sector_primes(ring: Ring, bound: int) -> list[QuadInt]:
+    """All sector-canonical primes of norm <= bound, ascending by (norm, a, b)."""
     _build_context(ring, bound)
-    checked = 0
-    mismatches: list[QuadInt] = []
-    for c, mm in run_chunks(_oracle_chunk, _chunks(ring, bound), jobs):
-        checked += c
-        mismatches.extend(QuadInt(ring, a, b) for a, b in mm)
-    return checked, mismatches
+    primes = [pi for s in _CTX["split"].values() for pi in s[:2]]
+    # whole always holds the ramified prime, even above the bound
+    primes += [w[0] for w in _CTX["whole"].values() if w[0].norm() <= bound]
+    primes.sort(key=lambda x: (x.norm(), x.a, x.b))
+    return primes
 
 
 @dataclass(frozen=True)
@@ -437,25 +459,19 @@ def sector_scan(
 
 
 def find_normperfect_primes(
-    ring: Ring, norm_bound: int, jobs: int | None = None, max_bound: int = 10**6
+    ring: Ring, norm_bound: int, max_bound: int = 10**6
 ) -> list[QuadInt]:
     """All sector-canonical primes psi with norm <= bound and
     norm(sigma(psi)) = norm(minimal) * norm(psi)."""
     if norm_bound > max_bound:
         raise ValueError(f"norm bound {norm_bound} exceeds the limit {max_bound}")
-    _build_context(ring, norm_bound)
     char = ring.residue_char
-    hits: list[QuadInt] = []
-    for chunk_hits in run_chunks(_prime_chunk, _chunks(ring, norm_bound), jobs):
-        hits.extend(QuadInt(ring, a, b) for a, b in chunk_hits)
-    # inert rational primes sit at (q, 0) with norm q**2
-    for q in range(2, isqrt(norm_bound) + 1):
-        if ring.is_inert(q) and is_rational_prime(q):
-            psi = QuadInt(ring, q, 0)
-            if (psi + 1).norm() == char * psi.norm():
-                hits.append(psi)
-    hits.sort(key=lambda x: (x.norm(), x.a, x.b))
-    return hits
+    # sigma(psi) = 1 + psi for a canonical prime psi
+    return [
+        psi
+        for psi in sector_primes(ring, norm_bound)
+        if (psi + 1).norm() == char * psi.norm()
+    ]
 
 
 # -- structural validators ---------------------------------------------------------

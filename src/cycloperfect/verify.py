@@ -24,7 +24,7 @@ from .divisors import (
     sigma,
     sigma_from_factorization,
 )
-from .factorization import factor, is_ring_prime, prime_above
+from .factorization import Factorization, is_ring_prime, prime_above
 from .mersenne import (
     candidate_factorization,
     composite_exponent_witness,
@@ -37,16 +37,17 @@ from .rational import (
     MR_ROUNDS_LARGE,
     TRIAL_DIVISION_BOUND,
     is_rational_prime,
-    smallest_prime_factor_sieve,
 )
 from .rings import QuadInt, Ring, gcd, parse_element
 from .search import (
     check_rational_perfect_remark,
     count_lattice_points,
     count_sector_classes,
+    factor_sweep,
     find_normperfect_primes,
     no_normperfect_prime_equation,
     oracle_equivalence_sweep,
+    sector_primes,
     sector_scan,
     validate_odd_form,
     validate_parker_form,
@@ -130,24 +131,6 @@ def _random_nonzero(rng: random.Random, ring: Ring, span: int = 500) -> QuadInt:
         x = _random_element(rng, ring, span)
         if x:
             return x
-
-
-def sector_primes(ring: Ring, bound: int) -> list[QuadInt]:
-    """All sector-canonical primes of norm <= bound, ascending by (norm, a, b)."""
-    spf = smallest_prime_factor_sieve(bound)
-    out = []
-    from .search import iter_sector
-
-    for a, b, n in iter_sector(ring, bound):
-        if n >= 2 and spf[n] == n:
-            out.append(QuadInt(ring, a, b))
-    q = 2
-    while q * q <= bound:
-        if ring.is_inert(q) and is_rational_prime(q):
-            out.append(QuadInt(ring, q, 0))
-        q += 1
-    out.sort(key=lambda x: (x.norm(), x.a, x.b))
-    return out
 
 
 # -- core -----------------------------------------------------------------------
@@ -245,31 +228,25 @@ def _check_is_even_or(jobs) -> list[dict]:
     return failures
 
 
-def _check_recomposition_sweep(jobs) -> list[dict]:
-    from .search import iter_sector
-    from .rational import factor_with_sieve
+def _recomposition_failures(x: QuadInt, fac: Factorization, n: int) -> list[dict]:
+    failures = []
+    if fac.recompose() != x:
+        failures.append(_fail("recomposition", x, x, fac.recompose()))
+    if fac.norm() != n:
+        failures.append(_fail("norm_product", x, n, fac.norm()))
+    if x.is_even() != any(p == x.ring.minimal_prime for p, _ in fac.factors):
+        failures.append(_fail("even_iff_minimal_prime", x, x.is_even(), fac.factors))
+    return failures
 
+
+def _check_recomposition_sweep(jobs) -> list[dict]:
     failures = []
     bound = DEFAULTS["recomposition_norm_bound"]
     for ring in Ring:
-        spf = smallest_prime_factor_sieve(bound)
-        split: dict[int, QuadInt] = {}
-        for a, b, n in iter_sector(ring, bound):
-            if n >= 2 and spf[n] == n and not ring.is_ramified(n) and n not in split:
-                split[n] = QuadInt(ring, a, b)
-        checked = 0
-        for a, b, n in iter_sector(ring, bound):
-            x = QuadInt(ring, a, b)
-            fac = factor(x, norm_factors=factor_with_sieve(n, spf), split_lookup=split)
-            if fac.recompose() != x:
-                failures.append(_fail("recomposition", x, x, fac.recompose()))
-            if fac.norm() != n:
-                failures.append(_fail("norm_product", x, n, fac.norm()))
-            if x.is_even() != any(p == ring.minimal_prime for p, _ in fac.factors):
-                failures.append(_fail("even_iff_minimal_prime", x, x.is_even(), fac.factors))
-            checked += 1
-            if len(failures) > 20:
-                return failures
+        _, found = factor_sweep(ring, bound, _recomposition_failures, jobs)
+        failures.extend(found)
+        if len(failures) > 20:
+            return failures
     return failures
 
 
@@ -577,10 +554,10 @@ def _check_even_scan(jobs) -> list[dict]:
 def _check_prime_sweeps(jobs) -> list[dict]:
     failures = []
     bound = DEFAULTS["prime_search_bound"]
-    eis = find_normperfect_primes(Ring.EISENSTEIN, bound, jobs=jobs)
+    eis = find_normperfect_primes(Ring.EISENSTEIN, bound)
     if eis:
         failures.append(_fail("no_eisenstein_normperfect_prime", bound, [], eis))
-    gau = find_normperfect_primes(Ring.GAUSSIAN, bound, jobs=jobs)
+    gau = find_normperfect_primes(Ring.GAUSSIAN, bound)
     if gau != [QuadInt(Ring.GAUSSIAN, 2, 1)]:
         failures.append(_fail("gaussian_normperfect_primes", bound, ["2+1i"], gau))
     for psi in gau:

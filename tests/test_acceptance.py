@@ -217,8 +217,8 @@ def test_c12_exhaustive_searches():
         ]
         assert norm_perfect == []
 
-        assert find_normperfect_primes(EISENSTEIN, 10**6, jobs=JOBS) == []
-        gaussian_hits = find_normperfect_primes(GAUSSIAN, 10**6, jobs=JOBS)
+        assert find_normperfect_primes(EISENSTEIN, 10**6) == []
+        gaussian_hits = find_normperfect_primes(GAUSSIAN, 10**6)
         assert gaussian_hits == [g(2, 1)]
         for psi in gaussian_hits:
             assert validate_ward_form(psi)

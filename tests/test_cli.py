@@ -134,7 +134,7 @@ class TestSearchCommands:
         obj = run_json(
             capsys,
             "find-normperfect-primes", "--ring", "gaussian",
-            "--max-norm", "1000", "--jobs", "1",
+            "--max-norm", "1000",
         )
         assert obj["count"] == 1
         assert obj["primes"] == [{"ring": "gaussian", "a": "2", "b": "1"}]

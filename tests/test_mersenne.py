@@ -7,7 +7,6 @@ from cycloperfect.divisors import Status, classify, sigma_from_factorization
 from cycloperfect.mersenne import (
     candidate_factorization,
     composite_exponent_witness,
-    construct_even_candidate,
     mersenne,
     mersenne_element,
     mersenne_norm_closed_form,
@@ -114,7 +113,7 @@ class TestCompositeWitness:
 
 class TestConstructions:
     def test_gaussian_k7_conjugated(self):
-        alpha = construct_even_candidate(GAUSSIAN, 7, "conjugated")
+        alpha = candidate_factorization(GAUSSIAN, 7, "conjugated")[0]
         assert alpha == g(1, 1) ** 6 * g(7, 8) == g(64, -56)
         cls = classify(alpha, check_primitive=True)
         assert cls.status is Status.NORM_PERFECT
@@ -132,11 +131,11 @@ class TestConstructions:
 
     def test_composite_k_rejected(self):
         with pytest.raises(ValueError):
-            construct_even_candidate(EISENSTEIN, 13)  # (2+w)^13 - 1 is composite
+            candidate_factorization(EISENSTEIN, 13)[0]  # (2+w)^13 - 1 is composite
 
     def test_bad_unit_rejected(self):
         with pytest.raises(ValueError):
-            construct_even_candidate(EISENSTEIN, 11, "conjugated", e(2))
+            candidate_factorization(EISENSTEIN, 11, "conjugated", e(2))[0]
 
     def test_factorization_recomposes(self):
         for ring, k in ((GAUSSIAN, 7), (EISENSTEIN, 11), (EISENSTEIN, 193)):

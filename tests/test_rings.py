@@ -140,6 +140,22 @@ class TestUnitsAndSector:
                     assert y == in_sector[0]
                     assert u * y == x
 
+    def test_sector_canonical_matches_unit_loop(self):
+        # the closed form against trying every unit v: y = x * v in the
+        # sector, u = conj(v) = 1/v
+        def unit_loop(x):
+            (found,) = [
+                (v.conjugate(), x * v) for v in x.ring.units if (x * v).in_sector()
+            ]
+            return found
+
+        for ring in Ring:
+            for a in range(-60, 61):
+                for b in range(-60, 61):
+                    if a or b:
+                        x = QuadInt(ring, a, b)
+                        assert x.sector_canonical() == unit_loop(x), x
+
     def test_sector_canonical_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             e(0, 0).sector_canonical()

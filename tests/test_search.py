@@ -1,6 +1,7 @@
 import os
 import random
 import signal
+from math import isqrt
 
 import pytest
 
@@ -11,7 +12,7 @@ from cycloperfect.divisors import (
     perfect_associate_unit,
     sigma_from_factorization,
 )
-from cycloperfect.factorization import factor
+from cycloperfect.factorization import Factorization, factor, is_ring_prime
 from cycloperfect.mersenne import NORM_PERFECT_K_RESIDUES
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
 from cycloperfect.search import (
@@ -19,6 +20,7 @@ from cycloperfect.search import (
     check_rational_perfect_remark,
     count_lattice_points,
     count_sector_classes,
+    factor_sweep,
     find_normperfect_primes,
     iter_sector,
     no_normperfect_prime_equation,
@@ -27,7 +29,7 @@ from cycloperfect.search import (
     validate_parker_form,
     validate_ward_form,
 )
-from cycloperfect.verify import sector_primes
+from cycloperfect.verify import DEFAULTS, _check_recomposition_sweep, sector_primes
 
 
 def e(a, b=0):
@@ -245,24 +247,73 @@ def test_pool_workers_do_not_inherit_the_scan_sigterm_handler(monkeypatch):
 
 class TestNormPerfectPrimes:
     def test_gaussian_is_exactly_2_plus_i(self):
-        assert find_normperfect_primes(GAUSSIAN, 50_000, jobs=1) == [g(2, 1)]
+        assert find_normperfect_primes(GAUSSIAN, 50_000) == [g(2, 1)]
 
     def test_eisenstein_empty(self):
-        assert find_normperfect_primes(EISENSTEIN, 50_000, jobs=1) == []
+        assert find_normperfect_primes(EISENSTEIN, 50_000) == []
 
     def test_small_gaussian_bound(self):
-        assert find_normperfect_primes(GAUSSIAN, 4, jobs=1) == []
+        assert find_normperfect_primes(GAUSSIAN, 4) == []
 
     def test_prime_enumeration_matches_sector_primes(self):
-        # cross-check the sweep's prime detection against the slow path
+        # the oracle walks every class representative and asks is_ring_prime,
+        # with no sieve and no context tables
         for ring in Ring:
-            slow = {
-                psi
-                for psi in sector_primes(ring, 2_000)
-                if (1 + psi).norm() == ring.residue_char * psi.norm()
-            }
-            fast = set(find_normperfect_primes(ring, 2_000, jobs=1))
-            assert fast == slow
+            for bound in (*range(1, 11), 2_000):
+                classes = (QuadInt(ring, a, b) for a, b, _ in iter_sector(ring, bound))
+                want = sorted(
+                    filter(is_ring_prime, classes), key=lambda x: (x.norm(), x.a, x.b)
+                )
+                assert sector_primes(ring, bound) == want, (ring, bound)
+                perfect = [
+                    psi
+                    for psi in want
+                    if (1 + psi).norm() == ring.residue_char * psi.norm()
+                ]
+                assert find_normperfect_primes(ring, bound) == perfect, (ring, bound)
+
+
+def _flag_tenth_rational(x, fac, n):
+    """Fails on the rational points a + 0*theta with 10 | a: 14 failures
+    spread over the chunks."""
+    return [x] if x.b == 0 and x.a % 10 == 0 else []
+
+
+def _flag_rational(x, fac, n):
+    """Fails on every rational point, more often than the sweep keeps going."""
+    return [x] if x.b == 0 else []
+
+
+class TestFactorSweep:
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_serial_and_pooled_agree_in_sector_order(self, ring):
+        bound = 20_000
+        assert len(search._chunks(ring, bound)) > 1
+        classes = count_sector_classes(ring, bound)
+        want = [QuadInt(ring, a, 0) for a in range(10, isqrt(bound) + 1, 10)]
+        for jobs in (1, 2):
+            assert factor_sweep(ring, bound, _flag_tenth_rational, jobs) == (classes, want)
+            assert search.oracle_equivalence_sweep(ring, bound, jobs) == (classes, [])
+        # the sweep stops after the first point that brings it past 20
+        capped = factor_sweep(ring, bound, _flag_rational, 1)
+        assert capped[1] == [QuadInt(ring, a, 0) for a in range(1, 22)]
+        assert factor_sweep(ring, bound, _flag_rational, 2) == capped
+
+    def test_pooled_recomposition_sweep_reports_a_wrong_factorization(self, monkeypatch):
+        bound = 20_000
+        monkeypatch.setitem(DEFAULTS, "recomposition_norm_bound", bound)
+        assert _check_recomposition_sweep(2) == []
+        bad = QuadInt(EISENSTEIN, 120, 7)
+        assert bad.norm() <= bound and bad.in_sector()
+        real = search.factor
+
+        def wrong_at_bad(x, **kwargs):
+            fac = real(x, **kwargs)
+            return Factorization(-fac.unit, fac.factors) if x == bad else fac
+
+        monkeypatch.setattr(search, "factor", wrong_at_bad)
+        failures = _check_recomposition_sweep(2)
+        assert [(f["check"], f["inputs"]) for f in failures] == [("recomposition", repr(bad))]
 
 
 class TestOddFormValidators:
