@@ -364,14 +364,6 @@ class AbstractOddFactorization:
     p: int
     entries: tuple[tuple[int, int, bool], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "entries": [
-                {"j": j, "e": e, "special": s} for j, e, s in self.entries
-            ],
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "AbstractOddFactorization":
         return AbstractOddFactorization(

@@ -183,14 +183,13 @@ def classify(
     )
 
 
-def perfect_associate_unit(x: QuadInt, sig: QuadInt | None = None) -> QuadInt | None:
-    """The unit u for which u*x is perfect, if any associate of x is.
+def perfect_associate_unit(x: QuadInt, sig: QuadInt) -> QuadInt | None:
+    """The unit u for which u*x is perfect, if any associate of x is; sig
+    is sigma(x).
 
     sigma is constant on the associate class, so u*x is perfect exactly
     when sigma(x) == minimal * u * x; at most one unit qualifies.
     """
-    if sig is None:
-        sig = sigma(x)
     base = x.ring.minimal_prime * x
     for u in x.ring.units:
         if u * base == sig:

@@ -43,16 +43,14 @@ class Factorization:
             n *= p.norm() ** e
         return n
 
-    def to_json(self, element: QuadInt | None = None) -> dict:
-        obj = {
+    def to_json(self, element: QuadInt) -> dict:
+        return {
             "unit": self.unit.to_json(),
             "factors": [
                 {"prime": p.to_json(), "exp": e} for p, e in self.factors
             ],
+            "element": element.to_json(),
         }
-        if element is not None:
-            obj["element"] = element.to_json()
-        return obj
 
 
 def is_ring_prime(x: QuadInt) -> bool:

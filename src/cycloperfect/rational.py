@@ -162,12 +162,6 @@ class RationalFactorization:
             out *= p**e
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "sign": self.sign,
-            "factors": [{"prime": str(p), "exp": e} for p, e in self.factors],
-        }
-
 
 def _brent_rho(n: int, rng: random.Random) -> int:
     """A nontrivial factor of odd composite n (Brent 1980)."""

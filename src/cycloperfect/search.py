@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .divisors import (
+    Classification,
     Status,
     _geometric_sum,
     classify,
@@ -33,6 +34,7 @@ from .rational import (
 from .rings import QuadInt, Ring
 
 DEFAULT_SCAN_LIMIT = 200_000
+PRIME_SEARCH_LIMIT = 10**6
 _CHUNK_TARGET_POINTS = 6_000
 # a factor sweep stops after the first point at which it holds more failures
 _MAX_FAILURES = 20
@@ -105,9 +107,12 @@ def count_lattice_points(ring: Ring, bound: int) -> int:
 # -- shared worker context ------------------------------------------------------
 #
 # Sweeps fork their workers, so the parent publishes the (large, read-only)
-# sieve and prime tables here right before creating the pool.
+# sieve and prime tables here right before creating the pool.  _BUILT keeps
+# the last context built for each ring: a sweep of the same ring and bound
+# reuses it, and the other ring at the same bound reuses its spf sieve.
 
 _CTX: dict = {}
+_BUILT: dict[Ring, dict] = {}
 
 
 def _build_context(ring: Ring, bound: int) -> None:
@@ -124,7 +129,18 @@ def _build_context(ring: Ring, bound: int) -> None:
     N(sigma(pi**j)) (N(sigma(pi_bar**j))), extended on demand in each process.
     split_pi maps each split q to its pi, the split_lookup factor() takes.
     """
-    spf = smallest_prime_factor_sieve(bound)
+    ctx = _BUILT.get(ring)
+    if ctx is None or ctx["bound"] != bound:
+        ctx = _new_context(ring, bound)
+        _BUILT[ring] = ctx
+    _CTX.clear()
+    _CTX.update(ctx)
+
+
+def _new_context(ring: Ring, bound: int) -> dict:
+    spf = next((c["spf"] for c in _BUILT.values() if c["bound"] == bound), None)
+    if spf is None:
+        spf = smallest_prime_factor_sieve(bound)
     above: dict[int, list[QuadInt]] = {}
     for a, b, n in iter_sector(ring, bound):
         if n >= 2 and spf[n] == n and not ring.is_ramified(n):
@@ -139,8 +155,7 @@ def _build_context(ring: Ring, bound: int) -> None:
     for q in range(2, isqrt(bound) + 1):
         if ring.is_inert(q) and spf[q] == q:
             whole[q] = (QuadInt(ring, q, 0), 2, [1])
-    _CTX.clear()
-    _CTX.update(
+    return dict(
         ring=ring,
         bound=bound,
         spf=spf,
@@ -258,14 +273,14 @@ def _norm_lane(a: int, b: int, n: int) -> tuple[int, list[tuple[QuadInt, int]]]:
     return sn, pairs
 
 
-def _classify_chunk(args) -> tuple[int, int, list[dict]]:
+def _classify_chunk(args) -> tuple[int, int, list[Classification]]:
     chunk, parity, prune = args
     ring, bound = _CTX["ring"], _CTX["bound"]
     char = ring.residue_char
     allowed = NORM_PERFECT_K_RESIDUES[ring]
     scanned = 0
     pruned = 0
-    findings: list[dict] = []
+    findings: list[Classification] = []
     for a in range(*chunk):
         for b, n in strip_points(ring, bound, a):
             even = (a + b) % char == 0
@@ -300,10 +315,7 @@ def _classify_chunk(args) -> tuple[int, int, list[dict]]:
                 raise ScanInvariantError(
                     f"lane sigma norm {sn} differs from {cls.sigma_norm} at {x}"
                 )
-            finding = {"classification": cls}
-            if cls.status is Status.NORM_PERFECT:
-                finding["perfect_unit"] = perfect_associate_unit(x, cls.sigma)
-            findings.append(finding)
+            findings.append(cls)
     return scanned, pruned, findings
 
 
@@ -349,6 +361,14 @@ def sector_primes(ring: Ring, bound: int) -> list[QuadInt]:
     return primes
 
 
+def perfect_unit(c: Classification) -> QuadInt | None:
+    """The unit u for which u*c.element is perfect, for a norm-perfect
+    finding whose associate class holds a perfect element; else None."""
+    if c.status is not Status.NORM_PERFECT:
+        return None
+    return perfect_associate_unit(c.element, c.sigma)
+
+
 @dataclass(frozen=True)
 class SearchReport:
     ring: Ring
@@ -356,7 +376,7 @@ class SearchReport:
     parity: str
     scanned: int
     pruned: int
-    findings: tuple[dict, ...]
+    findings: tuple[Classification, ...]
     wall_time: float
 
     def to_json(self) -> dict:
@@ -368,11 +388,9 @@ class SearchReport:
             "pruned": self.pruned,
             "findings": [
                 {
-                    **f["classification"].to_json(),
+                    **f.to_json(),
                     "perfect_unit": (
-                        f["perfect_unit"].to_json()
-                        if f.get("perfect_unit") is not None
-                        else None
+                        u.to_json() if (u := perfect_unit(f)) is not None else None
                     ),
                 }
                 for f in self.findings
@@ -393,16 +411,15 @@ class SearchReport:
             ]
         ]
         for f in self.findings:
-            cls = f["classification"]
-            unit = f.get("perfect_unit")
+            unit = perfect_unit(f)
             rows.append(
                 [
-                    str(cls.element),
-                    str(cls.norm),
-                    cls.status.value,
-                    str(cls.even).lower(),
-                    str(cls.perfect).lower(),
-                    str(cls.sigma_norm),
+                    str(f.element),
+                    str(f.norm),
+                    f.status.value,
+                    str(f.even).lower(),
+                    str(f.perfect).lower(),
+                    str(f.sigma_norm),
                     str(unit) if unit is not None else "",
                 ]
             )
@@ -415,7 +432,6 @@ def sector_scan(
     parity: str = "all",
     jobs: int | None = None,
     prune: bool = False,
-    max_bound: int = DEFAULT_SCAN_LIMIT,
     progress_cb=None,
 ) -> SearchReport:
     """Classify one representative per associate class up to the norm bound.
@@ -427,12 +443,12 @@ def sector_scan(
     """
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"unknown parity filter {parity!r}")
-    if norm_bound > max_bound:
-        raise ValueError(f"norm bound {norm_bound} exceeds the limit {max_bound}")
+    if norm_bound > DEFAULT_SCAN_LIMIT:
+        raise ValueError(f"norm bound {norm_bound} exceeds the limit {DEFAULT_SCAN_LIMIT}")
     t0 = time.monotonic()
     _build_context(ring, norm_bound)
     scanned = pruned = 0
-    findings: list[dict] = []
+    findings: list[Classification] = []
     work = [(c, parity, prune) for c in _chunks(ring, norm_bound)]
     for s, p, fs in run_chunks(_classify_chunk, work, jobs):
         scanned += s
@@ -440,13 +456,7 @@ def sector_scan(
         findings.extend(fs)
         if progress_cb is not None:
             progress_cb(scanned)
-    findings.sort(
-        key=lambda f: (
-            f["classification"].norm,
-            f["classification"].element.a,
-            f["classification"].element.b,
-        )
-    )
+    findings.sort(key=lambda c: (c.norm, c.element.a, c.element.b))
     return SearchReport(
         ring=ring,
         norm_bound=norm_bound,
@@ -458,13 +468,11 @@ def sector_scan(
     )
 
 
-def find_normperfect_primes(
-    ring: Ring, norm_bound: int, max_bound: int = 10**6
-) -> list[QuadInt]:
+def find_normperfect_primes(ring: Ring, norm_bound: int) -> list[QuadInt]:
     """All sector-canonical primes psi with norm <= bound and
     norm(sigma(psi)) = norm(minimal) * norm(psi)."""
-    if norm_bound > max_bound:
-        raise ValueError(f"norm bound {norm_bound} exceeds the limit {max_bound}")
+    if norm_bound > PRIME_SEARCH_LIMIT:
+        raise ValueError(f"norm bound {norm_bound} exceeds the limit {PRIME_SEARCH_LIMIT}")
     char = ring.residue_char
     # sigma(psi) = 1 + psi for a canonical prime psi
     return [
@@ -489,26 +497,6 @@ class OddFormReport:
     conforms: bool
     violated_condition: str | None
 
-    def to_json(self) -> dict:
-        def entries(rows):
-            return [
-                {"prime": p.to_json(), "exp": e, "residue": r} for p, e, r in rows
-            ]
-
-        return {
-            "element": self.element.to_json(),
-            "unit": self.unit.to_json(),
-            "special_prime": (
-                self.special_prime.to_json() if self.special_prime else None
-            ),
-            "special_exponent": self.special_exponent,
-            "special_residue": self.special_residue,
-            "p1": entries(self.p1),
-            "p2": entries(self.p2),
-            "conforms": self.conforms,
-            "violated_condition": self.violated_condition,
-        }
-
 
 def _special_condition(residue: int, exponent: int) -> bool:
     """Exponent condition making 3 divide norm(sigma(psi**e))."""
@@ -517,9 +505,7 @@ def _special_condition(residue: int, exponent: int) -> bool:
     return exponent % 2 == 1
 
 
-def validate_odd_form(
-    x: QuadInt, factorization: Factorization | None = None
-) -> OddFormReport:
+def validate_odd_form(x: QuadInt) -> OddFormReport:
     """Check the odd norm-perfect form: exactly one prime power may carry the
     divisibility condition; other residue-1 exponents avoid 2 mod 3 and other
     residue-2 exponents are even."""
@@ -527,7 +513,7 @@ def validate_odd_form(
         raise ValueError("odd-form validation applies to the Eisenstein ring")
     if x.is_even():
         raise ValueError("element must be odd")
-    fac = factorization if factorization is not None else factor(x)
+    fac = factor(x)
     rows = [(p, e, p.residue_mod_minimal()) for p, e in fac.factors]
     candidates = [row for row in rows if _special_condition(row[2], row[1])]
     if len(candidates) == 1:

@@ -93,7 +93,6 @@ DEFAULTS = {
 @dataclass
 class VerifySuiteResult:
     suite: str
-    checks_run: int = 0
     check_ids: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     wall_time: float = 0.0
@@ -105,7 +104,7 @@ class VerifySuiteResult:
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
-            "checks_run": self.checks_run,
+            "checks_run": len(self.check_ids),
             "check_ids": list(self.check_ids),
             "failures": list(self.failures),
             "passed": self.passed,
@@ -543,9 +542,7 @@ def _check_even_scan(jobs) -> list[dict]:
     report = sector_scan(
         Ring.EISENSTEIN, DEFAULTS["even_scan_bound"], parity="even", jobs=jobs
     )
-    bad = [
-        f for f in report.findings if f["classification"].status is Status.NORM_PERFECT
-    ]
+    bad = [f for f in report.findings if f.status is Status.NORM_PERFECT]
     if bad:
         return [_fail("even_norm_perfect_scan", DEFAULTS["even_scan_bound"], [], bad)]
     return []
@@ -573,9 +570,7 @@ def _check_prune_no_loss(jobs) -> list[dict]:
 
     def norm_perfect_set(report):
         return {
-            str(f["classification"].element)
-            for f in report.findings
-            if f["classification"].status is Status.NORM_PERFECT
+            str(f.element) for f in report.findings if f.status is Status.NORM_PERFECT
         }
 
     if norm_perfect_set(plain) != norm_perfect_set(pruned):
@@ -688,9 +683,7 @@ def _check_odd_divisor_bound(jobs) -> list[dict]:
 def _check_odd_gaussian_scan(jobs) -> list[dict]:
     report = sector_scan(Ring.GAUSSIAN, 200_000, parity="odd", jobs=jobs)
     norm_perfect = [
-        f["classification"].element
-        for f in report.findings
-        if f["classification"].status is Status.NORM_PERFECT
+        f.element for f in report.findings if f.status is Status.NORM_PERFECT
     ]
     failures = []
     if QuadInt(Ring.GAUSSIAN, 2, 1) not in norm_perfect:
@@ -897,7 +890,6 @@ def run_suite(name: str, jobs: int | None = None, log=None) -> VerifySuiteResult
     t0 = time.monotonic()
     for check_id, fn in checks:
         failures = fn(jobs)
-        result.checks_run += 1
         result.check_ids.append(check_id)
         result.failures.extend(failures)
         if log is not None:

@@ -213,7 +213,7 @@ def test_c12_exhaustive_searches():
         report = sector_scan(EISENSTEIN, 200_000, parity="even", jobs=JOBS)
         norm_perfect = [
             f for f in report.findings
-            if f["classification"].status is Status.NORM_PERFECT
+            if f.status is Status.NORM_PERFECT
         ]
         assert norm_perfect == []
 
@@ -225,9 +225,8 @@ def test_c12_exhaustive_searches():
 
         odd_report = sector_scan(GAUSSIAN, 200_000, parity="odd", jobs=JOBS)
         for f in odd_report.findings:
-            cls = f["classification"]
-            if cls.status is Status.NORM_PERFECT:
-                assert validate_ward_form(cls.element)
+            if f.status is Status.NORM_PERFECT:
+                assert validate_ward_form(f.element)
 
 
 def test_c13_rational_perfect_remark():

@@ -341,7 +341,14 @@ class TestGeneralOddForm:
 
     def test_json_roundtrip(self):
         form = AbstractOddFactorization(5, ((2, 3, False), (1, 4, True)))
-        assert AbstractOddFactorization.from_json(form.to_json()) == form
+        obj = {
+            "p": 5,
+            "entries": [
+                {"j": 2, "e": 3, "special": False},
+                {"j": 1, "e": 4, "special": True},
+            ],
+        }
+        assert AbstractOddFactorization.from_json(obj) == form
 
     def test_p3_agrees_with_concrete_validator(self):
         from cycloperfect.search import validate_odd_form

@@ -13,10 +13,11 @@ from cycloperfect.divisors import (
     sigma_from_factorization,
 )
 from cycloperfect.factorization import Factorization, factor, is_ring_prime
-from cycloperfect.mersenne import NORM_PERFECT_K_RESIDUES
+from cycloperfect.mersenne import NORM_PERFECT_K_RESIDUES, candidate_factorization
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
 from cycloperfect.search import (
     ScanInvariantError,
+    SearchReport,
     check_rational_perfect_remark,
     count_lattice_points,
     count_sector_classes,
@@ -70,9 +71,7 @@ class TestSectorScan:
     def test_gaussian_odd_contains_2_plus_i(self):
         report = sector_scan(GAUSSIAN, 30, parity="odd", jobs=1)
         norm_perfect = [
-            f["classification"].element
-            for f in report.findings
-            if f["classification"].status is Status.NORM_PERFECT
+            f.element for f in report.findings if f.status is Status.NORM_PERFECT
         ]
         assert g(2, 1) in norm_perfect
 
@@ -90,15 +89,14 @@ class TestSectorScan:
         odd_r = sector_scan(EISENSTEIN, 300, parity="odd", jobs=1)
         even_r = sector_scan(EISENSTEIN, 300, parity="even", jobs=1)
         assert odd_r.scanned + even_r.scanned == all_r.scanned
-        assert all(f["classification"].element.is_even() for f in even_r.findings)
+        assert all(f.element.is_even() for f in even_r.findings)
 
     def test_findings_reclassify_identically(self):
         report = sector_scan(GAUSSIAN, 2_000, parity="all", jobs=1)
         assert report.findings
         for f in report.findings:
-            cls = f["classification"]
-            again = classify(cls.element)
-            assert again == cls
+            again = classify(f.element)
+            assert again == f
 
     def test_parallel_matches_serial(self):
         serial = sector_scan(EISENSTEIN, 3_000, jobs=1)
@@ -113,9 +111,7 @@ class TestSectorScan:
 
         def norm_perfect(report):
             return [
-                f["classification"].element
-                for f in report.findings
-                if f["classification"].status is Status.NORM_PERFECT
+                f.element for f in report.findings if f.status is Status.NORM_PERFECT
             ]
 
         assert norm_perfect(plain) == norm_perfect(pruned)
@@ -128,6 +124,63 @@ class TestSectorScan:
         rows = report.csv_rows()
         assert rows[0][0] == "element"
         assert len(rows) == len(report.findings) + 1
+
+    def test_perfect_unit_serialization(self):
+        # no scan finding up to norm 2*10^5 has a perfect unit, so the report
+        # is built by hand: k = 73 is the first prime Mersenne exponent with
+        # k = 1 (mod 8), eta is perfect, and x = i*eta is perfect under -i
+        i = g(0, 1)
+        eta, _ = candidate_factorization(GAUSSIAN, 73, "plain", -i)
+        x = i * eta
+        cls = classify(x)
+        report = SearchReport(
+            ring=GAUSSIAN,
+            norm_bound=x.norm(),
+            parity="all",
+            scanned=1,
+            pruned=0,
+            findings=(cls,),
+            wall_time=0.0,
+        )
+        want = {**cls.to_json(), "perfect_unit": (-i).to_json()}
+        assert report.to_json()["findings"] == [want]
+        assert report.csv_rows()[1][-1] == "0-1i"
+
+
+class TestSectorContext:
+    def test_each_context_is_built_once(self, monkeypatch):
+        monkeypatch.setattr(search, "_BUILT", {})
+        sieved = []
+        sieve = search.smallest_prime_factor_sieve
+
+        def counting_sieve(limit):
+            sieved.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(search, "smallest_prime_factor_sieve", counting_sieve)
+        bound = 1_234
+        search._build_context(GAUSSIAN, bound)
+        split = search._CTX["split"]
+        search._build_context(GAUSSIAN, bound)
+        assert sieved == [bound]
+        assert search._CTX["split"] is split
+        # the other ring reuses the ring-independent sieve
+        search._build_context(EISENSTEIN, bound)
+        assert sieved == [bound]
+        assert search._CTX["ring"] is EISENSTEIN
+        assert search._CTX["spf"] is search._BUILT[GAUSSIAN]["spf"]
+        assert sector_primes(GAUSSIAN, bound)[0] == g(1, 1)
+        assert sieved == [bound]
+        search._build_context(GAUSSIAN, bound + 1)
+        assert sieved == [bound, bound + 1]
+
+    def test_a_failed_build_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(search, "_BUILT", {})
+        # with no ramified prime, the one sector prime of norm 2 has no partner
+        monkeypatch.setattr(Ring, "is_ramified", lambda self, q: False)
+        with pytest.raises(ScanInvariantError, match="1 sector primes of norm 2"):
+            search._build_context(GAUSSIAN, 1_234)
+        assert search._BUILT == {}
 
 
 class TestNormLane:

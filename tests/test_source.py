@@ -1,0 +1,20 @@
+"""Rules on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cycloperfect"
+
+
+def test_no_assert_or_debug_in_package():
+    # invariants raise real exceptions, so they still hold under python -O
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "__debug__"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
