@@ -7,7 +7,8 @@ elimination, so they stay correct at any coefficient size.  No
 positive-representative system exists here for p >= 5; the module provides
 norms, evenness, the ramification identity, residue degrees and splitting
 patterns, generalized Mersenne norms, and the abstract odd-form congruence
-validator.
+validator.  The Mersenne-norm records (conjecture_records) run one exponent
+per task on the shared process pool, parallel.run_chunks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+from .parallel import run_chunks
 from .rational import divisor_in_classes, is_rational_prime
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19)
@@ -321,36 +323,40 @@ def cyc_mersenne_norm(p: int, k: int) -> int:
     return cyc_norm(element)
 
 
-def conjecture_records(p: int, k_max: int) -> list[dict]:
-    """Generalized Mersenne norms for k = +-1 (mod 4p): recorded data only,
-    no perfection claim is attached.  For k = d*e, N(pi**d - 1) divides
-    N(pi**k - 1) (pi = 1 - zeta_p), and a proper divisor proves the norm
-    composite with no modular powering.  For prime k the norm is first
+def _record(args: tuple[int, int]) -> dict:
+    """The record of one exponent k at level p.  For k = d*e, N(pi**d - 1)
+    divides N(pi**k - 1) (pi = 1 - zeta_p), and a proper divisor proves the
+    norm composite with no modular powering.  For prime k the norm is first
     searched for a divisor of the form its primes must have (l**(p-1) = 1
     mod k, see divisor_in_classes); other norms go to is_rational_prime."""
+    p, k = args
+    norm = cyc_mersenne_norm(p, k)
+    d = next((d for d in range(2, isqrt(k) + 1) if k % d == 0), None)
+    if d:
+        divisor = cyc_mersenne_norm(p, d)
+    else:
+        divisor = divisor_in_classes(norm, k, p - 1) or norm
+    composite = 1 < divisor < norm and norm % divisor == 0
+    return {
+        "p": p,
+        "k": k,
+        "k_mod_4p": k % (4 * p),
+        "norm": str(norm),
+        "norm_is_prime": not composite and is_rational_prime(norm),
+    }
+
+
+def conjecture_records(p: int, k_max: int, jobs: int | None = None) -> list[dict]:
+    """Generalized Mersenne norms for k = +-1 (mod 4p), in increasing k:
+    recorded data only, no perfection claim is attached.  The exponents run
+    on the shared pool (jobs as in mersenne.scan), largest first: the cost
+    grows steeply with k, and the pool then ends on small exponents instead
+    of one core running a large one."""
     _check_p(p)
-    out = []
-    for k in range(2, k_max + 1):
-        r = k % (4 * p)
-        if r not in (1, 4 * p - 1):
-            continue
-        norm = cyc_mersenne_norm(p, k)
-        d = next((d for d in range(2, isqrt(k) + 1) if k % d == 0), None)
-        if d:
-            divisor = cyc_mersenne_norm(p, d)
-        else:
-            divisor = divisor_in_classes(norm, k, p - 1) or norm
-        composite = 1 < divisor < norm and norm % divisor == 0
-        out.append(
-            {
-                "p": p,
-                "k": k,
-                "k_mod_4p": r,
-                "norm": str(norm),
-                "norm_is_prime": not composite and is_rational_prime(norm),
-            }
-        )
-    return out
+    ks = [k for k in range(2, k_max + 1) if k % (4 * p) in (1, 4 * p - 1)]
+    records = list(run_chunks(_record, [(p, k) for k in reversed(ks)], jobs))
+    records.reverse()
+    return records
 
 
 # -- abstract odd-form validation ------------------------------------------------

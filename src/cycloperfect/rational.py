@@ -1,16 +1,17 @@
 """Rational-integer primality testing and factorization.
 
-Primality runs trial division by all primes below 10**4 first.  Below 2**64
-it is deterministic (fixed Miller-Rabin witness set).  Above, an n whose
-n - 1 is divisible by a power F of 2 or 3 with F*F > n (as is the norm of
-min**k - 1 for odd k in both quadratic rings) is proven prime or composite
-by Pocklington's criterion; any other n, and one no small base decides, is
-probable prime after MR_ROUNDS_LARGE random Miller-Rabin rounds.  Before
-any of that, a Mersenne norm of prime exponent k can be proven composite by
-a divisor of the form its primes are forced to have (divisor_in_classes).
-Factoring runs trial division and then Brent's cycle-finding variant of
-Pollard rho.  All randomized pieces draw from generators seeded by the
-documented constants below, so results are reproducible run to run.
+Primality runs trial division by all primes below 10**4 first.  From 2**64
+on, an n whose n - 1 is divisible by a power F of 2 or 3 with F*F > n (as
+is the norm of min**k - 1 for odd k in both quadratic rings) is proven
+prime or composite by Pocklington's criterion.  Every other n below PSI13
+(about 3.3e24) is decided by the first 13 primes as fixed Miller-Rabin
+witnesses; from PSI13 on, such an n is probable prime after
+MR_ROUNDS_LARGE random Miller-Rabin rounds.  Before any of that, a Mersenne
+norm of prime exponent k can be proven composite by a divisor of the form
+its primes are forced to have (divisor_in_classes).  Factoring runs trial
+division and then Brent's cycle-finding variant of Pollard rho.  All
+randomized pieces draw from generators seeded by the documented constants
+below, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ FACTOR_SEED = 0xB1D_5EED
 TRIAL_DIVISION_BOUND = 10_000
 MR_ROUNDS_LARGE = 40
 
-# The first 12 primes as Miller-Rabin witnesses decide every
-# n < psi12 = 318665857834031151167461 (Sorenson and Webster 2017); the code
-# uses them only below 2**64.
-_MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses decide every n < PSI13, the
+# least strong pseudoprime to all of them.  The first 12 (_MR_WITNESSES_64)
+# suffice below 2**64 and stop at psi12 = 318665857834031151167461
+# (Sorenson and Webster 2017).
+PSI13 = 3317044064679887385961981
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_WITNESSES_64 = _MR_WITNESSES[:12]
 
 
 def _sieve_primes(limit: int) -> list[int]:
@@ -138,11 +142,12 @@ def is_rational_prime(n: int) -> bool:
             return False
         if p * p > n:
             return True
-    if n < 1 << 64:
-        return all(_miller_rabin(n, a) for a in _MR_WITNESSES_64)
-    proven = _pocklington(n)
-    if proven is not None:
-        return proven
+    if n >= 1 << 64:
+        proven = _pocklington(n)
+        if proven is not None:
+            return proven
+    if n < PSI13:
+        return all(_miller_rabin(n, a) for a in _MR_WITNESSES)
     rng = random.Random(PRIMALITY_SEED ^ n)
     return all(
         _miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(MR_ROUNDS_LARGE)

@@ -77,6 +77,7 @@ DEFAULTS = {
     "gaussian_perfect_max_k": 100,
     "equation_bound": 1_000,
     "even_scan_bound": 200_000,
+    "odd_gaussian_scan_bound": 200_000,
     "prime_search_bound": 1_000_000,
     "prune_loss_bound": 100_000,
     "enumeration_bound": 10_000,
@@ -681,13 +682,14 @@ def _check_odd_divisor_bound(jobs) -> list[dict]:
 
 
 def _check_odd_gaussian_scan(jobs) -> list[dict]:
-    report = sector_scan(Ring.GAUSSIAN, 200_000, parity="odd", jobs=jobs)
+    bound = DEFAULTS["odd_gaussian_scan_bound"]
+    report = sector_scan(Ring.GAUSSIAN, bound, parity="odd", jobs=jobs)
     norm_perfect = [
         f.element for f in report.findings if f.status is Status.NORM_PERFECT
     ]
     failures = []
     if QuadInt(Ring.GAUSSIAN, 2, 1) not in norm_perfect:
-        failures.append(_fail("odd_gaussian_scan", 200_000, "2+1i found", norm_perfect))
+        failures.append(_fail("odd_gaussian_scan", bound, "2+1i found", norm_perfect))
     for x in norm_perfect:
         if not validate_ward_form(x):
             failures.append(_fail("ward_form_findings", x, True, False))
@@ -810,7 +812,7 @@ def _check_general_odd_form_p3(jobs) -> list[dict]:
 def _check_conjecture_harness(jobs) -> list[dict]:
     failures = []
     for p in cyc.SUPPORTED_PRIMES:
-        records = cyc.conjecture_records(p, DEFAULTS["closed_form_max_k"])
+        records = cyc.conjecture_records(p, DEFAULTS["closed_form_max_k"], jobs)
         for rec in records:
             if rec["k_mod_4p"] not in (1, 4 * p - 1):
                 failures.append(_fail("conjecture_residues", rec, None, None))

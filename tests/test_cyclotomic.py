@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -259,7 +260,7 @@ class TestMersenneNorms:
         monkeypatch.setattr(cyclotomic, "is_rational_prime", recording)
         monkeypatch.setattr(cyclotomic, "divisor_in_classes", searching)
         for p in SUPPORTED_PRIMES:
-            assert conjecture_records(p, 200) == want[p], p
+            assert conjecture_records(p, 200, jobs=1) == want[p], p
             prime_k = [r for r in want[p] if is_rational_prime(r["k"])]
             for r in prime_k:
                 n = int(r["norm"])
@@ -283,11 +284,29 @@ class TestMersenneNorms:
 
         monkeypatch.setattr(cyclotomic, "divisor_in_classes", recording)
         for p in SUPPORTED_PRIMES:
-            assert conjecture_records(p, 200) == want[p], p
+            assert conjecture_records(p, 200, jobs=1) == want[p], p
         assert found and all(n % g == 0 for n, g in found)
         monkeypatch.setattr(cyclotomic, "divisor_in_classes", lambda n, k, d: None)
         for p in SUPPORTED_PRIMES:
             assert conjecture_records(p, 200) == want[p], p
+
+    def test_pool_matches_in_process(self):
+        # the pool takes the largest exponent first; the records come back
+        # in increasing k whatever the job count
+        for p in SUPPORTED_PRIMES:
+            records = conjecture_records(p, 200, jobs=1)
+            assert [r["k"] for r in records] == sorted(r["k"] for r in records)
+            assert conjecture_records(p, 200, jobs=2) == records, p
+
+    def test_worker_error_reaches_parent(self, monkeypatch):
+        # forked workers inherit the patch; a worker's failure is raised here
+        def broken(n):
+            raise RuntimeError(f"raised in process {os.getpid()}")
+
+        monkeypatch.setattr(cyclotomic, "is_rational_prime", broken)
+        with pytest.raises(RuntimeError, match="raised in process") as exc:
+            conjecture_records(5, 200, jobs=2)
+        assert str(exc.value) != f"raised in process {os.getpid()}"
 
 class TestCrossRing:
     def test_norm_and_evenness_match_quadratic(self):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cycloperfect import rational
+from cycloperfect.divisors import classify
 from cycloperfect.mersenne import mersenne_element
 from cycloperfect.rational import (
     SMALL_PRIMES,
@@ -12,7 +13,7 @@ from cycloperfect.rational import (
     is_rational_prime,
     smallest_prime_factor_sieve,
 )
-from cycloperfect.rings import Ring
+from cycloperfect.rings import QuadInt, Ring
 
 
 def brute_force_is_prime(n):
@@ -93,6 +94,55 @@ def miller_rabin_oracle(n, rounds=40):
         else:
             return False
     return True
+
+
+def forbid_random_rounds(monkeypatch):
+    """Make any Miller-Rabin round with a base outside the fixed witnesses raise."""
+    plain = rational._miller_rabin
+
+    def fixed_bases_only(n, a):
+        if a not in rational._MR_WITNESSES:
+            raise AssertionError(f"random Miller-Rabin round on {n}")
+        return plain(n, a)
+
+    monkeypatch.setattr(rational, "_miller_rabin", fixed_bases_only)
+
+
+class TestPsi13:
+    def test_thirteen_witnesses_stop_at_psi13(self):
+        # psi13 is the least strong pseudoprime to the bases 2..41; base 43
+        # exposes it, and is_rational_prime sends it past the fixed bases
+        psi13 = 3317044064679887385961981
+        assert psi13 == 1287836182261 * 2575672364521 == rational.PSI13
+        assert rational._MR_WITNESSES == tuple(SMALL_PRIMES[:13])
+        assert all(rational._miller_rabin(psi13, a) for a in rational._MR_WITNESSES)
+        assert not rational._miller_rabin(psi13, 43)
+        assert not is_rational_prime(psi13)
+
+    def test_fixed_bases_decide_below_psi13(self, monkeypatch):
+        # odd n in [2**64, psi13), bit lengths spread evenly, and psi12
+        rng = random.Random(1313)
+        ns = [318665857834031151167461]
+        for _ in range(3000):
+            b = rng.randrange(64, rational.PSI13.bit_length())
+            ns.append(rng.randrange(1 << b, min(2 << b, rational.PSI13 - 1)) | 1)
+        want = [miller_rabin_oracle(n) for n in ns]
+        assert 50 < sum(want) < len(ns)
+        forbid_random_rounds(monkeypatch)
+        assert [is_rational_prime(n) for n in ns] == want
+
+    def test_point_queries_need_no_random_rounds(self, monkeypatch):
+        # classify with |a|, |b| <= 10**10, as the benchmark's point queries:
+        # every norm and every cofactor its factoring tests is below psi13
+        rng = random.Random(5)
+        bound = 10**10
+        xs = [
+            QuadInt(rng.choice(list(Ring)), rng.randint(-bound, bound), rng.randint(-bound, bound))
+            for _ in range(200)
+        ]
+        forbid_random_rounds(monkeypatch)
+        for x in xs:
+            assert classify(x, check_primitive=True).element == x
 
 
 class TestPocklington:
