@@ -230,14 +230,13 @@ def smallest_prime_factor_sieve(limit: int) -> array:
     """spf[n] = smallest prime factor of n for 2 <= n <= limit (spf[0..1] = 0, 1).
 
     Stored as a compact int32 array so large sieves fork-share cheaply
-    across worker processes.
+    across worker processes.  Each prime p <= sqrt(limit) is written over
+    its multiples from p*p on, the largest first, so the smallest prime
+    writes last.
     """
     spf = array("i", range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
+    for p in reversed(_sieve_primes(isqrt(limit))):
+        spf[p * p :: p] = array("i", [p]) * len(range(p * p, limit + 1, p))
     return spf
 
 

@@ -120,13 +120,14 @@ def _build_context(ring: Ring, bound: int) -> None:
     enumeration of the sector's primes (sector_primes reads it too).
 
     split maps each split rational prime q up to the bound to
-    (pi, pi_bar, t, norms, bar_norms): pi and pi_bar are the two sector
+    (pi, pi_bar, t, powers, bar_powers): pi and pi_bar are the two sector
     primes of norm q (pi first in sector order), and t = -a_pi / b_pi (mod q)
     is the image of theta in Z[theta]/pi, so pi divides a + b*theta exactly
     when a + b*t = 0 (mod q).  whole maps the ramified prime and each inert q
-    that can divide a norm up to the bound to (pi, d, norms), where pi is the
-    one prime above q and N(pi) = q**d.  norms[j] (bar_norms[j]) caches
-    N(sigma(pi**j)) (N(sigma(pi_bar**j))), extended on demand in each process.
+    that can divide a norm up to the bound to (pi, d, powers), where pi is
+    the one prime above q and N(pi) = q**d.  powers (bar_powers) is the
+    prime's cache of _prime_power entries, extended on demand in each
+    process; every list starts with the one shared entry for j = 0.
     split_pi maps each split q to its pi, the split_lookup factor() takes.
     """
     ctx = _BUILT.get(ring)
@@ -145,16 +146,18 @@ def _new_context(ring: Ring, bound: int) -> dict:
     for a, b, n in iter_sector(ring, bound):
         if n >= 2 and spf[n] == n and not ring.is_ramified(n):
             above.setdefault(n, []).append(QuadInt(ring, a, b))
+    one = QuadInt(ring, 1, 0)
+    zeroth = (1, one, one)  # sigma(pi**0) = pi**0 = 1 for every prime
     split: dict[int, tuple] = {}
     for q, primes in above.items():
         if len(primes) != 2:
             raise ScanInvariantError(f"{len(primes)} sector primes of norm {q}")
         pi, pi_bar = primes
-        split[q] = (pi, pi_bar, -pi.a * pow(pi.b, -1, q) % q, [1], [1])
-    whole: dict[int, tuple] = {ring.residue_char: (ring.minimal_prime, 1, [1])}
+        split[q] = (pi, pi_bar, -pi.a * pow(pi.b, -1, q) % q, [zeroth], [zeroth])
+    whole: dict[int, tuple] = {ring.residue_char: (ring.minimal_prime, 1, [zeroth])}
     for q in range(2, isqrt(bound) + 1):
         if ring.is_inert(q) and spf[q] == q:
-            whole[q] = (QuadInt(ring, q, 0), 2, [1])
+            whole[q] = (QuadInt(ring, q, 0), 2, [zeroth])
     return dict(
         ring=ring,
         bound=bound,
@@ -220,37 +223,41 @@ def _oracle_check(x: QuadInt, fac: Factorization, n: int) -> list[QuadInt]:
     return []
 
 
-def _sigma_norm(pi: QuadInt, norms: list[int], j: int) -> int:
-    """norms[j] = N(sigma(pi**j)), extending the cache as far as j."""
-    while len(norms) <= j:
-        norms.append(_geometric_sum(pi, len(norms)).norm())
-    return norms[j]
+def _prime_power(pi: QuadInt, powers: list, j: int) -> tuple[int, QuadInt, QuadInt]:
+    """powers[j] = (N(sigma(pi**j)), sigma(pi**j), pi**j), extending the
+    cache as far as j."""
+    while len(powers) <= j:
+        k = len(powers)
+        s = _geometric_sum(pi, k)
+        powers.append((s.norm(), s, pi**k))
+    return powers[j]
 
 
-def _norm_lane(a: int, b: int, n: int) -> tuple[int, list[tuple[QuadInt, int]]]:
-    """N(sigma(x)) and the (prime, exponent) pairs of x = a + b*theta.
+def _norm_lane(a: int, b: int, n: int) -> tuple[int, list[tuple[QuadInt, int, list]]]:
+    """N(sigma(x)) and the (prime, exponent, powers) terms of x = a + b*theta,
+    powers being the prime's _prime_power cache.
 
     Integer arithmetic only: the exponents come from the sieve factorization
     of the norm n.  A ramified prime takes the exponent of q, an inert one
     half of it.  For a split q of exponent e, both conjugates take the
     exponent k of q in gcd(a, b); after dividing that content out, the other
     e - 2k go to pi when a' + b'*t = 0 (mod q) and to pi_bar otherwise.
-    Pairs come in no particular order and omit zero exponents.
+    Terms come in no particular order and omit zero exponents.
     """
     split, whole = _CTX["split"], _CTX["whole"]
     g = gcd(a, b)
     sn = 1
-    pairs: list[tuple[QuadInt, int]] = []
+    terms: list[tuple[QuadInt, int, list]] = []
     for q, e in factor_with_sieve(n, _CTX["spf"]):
         s = split.get(q)
         if s is None:
-            pi, d, norms = whole[q]
+            pi, d, powers = whole[q]
             if e % d:
                 raise ScanInvariantError(f"exponent {e} of inert {q} in norm {n} is odd")
-            sn *= _sigma_norm(pi, norms, e // d)
-            pairs.append((pi, e // d))
+            sn *= _prime_power(pi, powers, e // d)[0]
+            terms.append((pi, e // d, powers))
             continue
-        pi, pi_bar, t, norms, bar_norms = s
+        pi, pi_bar, t, powers, bar_powers = s
         k = 0
         qk = 1
         while g % q == 0:
@@ -265,12 +272,25 @@ def _norm_lane(a: int, b: int, n: int) -> tuple[int, list[tuple[QuadInt, int]]]:
         else:
             j, j_bar = k, k + rest
         if j:
-            sn *= _sigma_norm(pi, norms, j)
-            pairs.append((pi, j))
+            sn *= _prime_power(pi, powers, j)[0]
+            terms.append((pi, j, powers))
         if j_bar:
-            sn *= _sigma_norm(pi_bar, bar_norms, j_bar)
-            pairs.append((pi_bar, j_bar))
-    return sn, pairs
+            sn *= _prime_power(pi_bar, bar_powers, j_bar)[0]
+            terms.append((pi_bar, j_bar, bar_powers))
+    return sn, terms
+
+
+def _claim(ring: Ring, terms: list) -> tuple[list, QuadInt]:
+    """The lane's terms as a claim for factor, (prime, exponent, power)
+    triples with the cached powers, and sigma as the product of the cached
+    sigma(pi**j)."""
+    claim = []
+    sig = QuadInt(ring, 1, 0)
+    for i, (pi, j, powers) in enumerate(terms):
+        _, s, power = _prime_power(pi, powers, j)
+        claim.append((pi, j, power))
+        sig = sig * s if i else s
+    return claim, sig
 
 
 def _classify_chunk(args) -> tuple[int, int, list[Classification]]:
@@ -300,17 +320,22 @@ def _classify_chunk(args) -> tuple[int, int, list[Classification]]:
                 if (v + 1) % 12 not in allowed:
                     pruned += 1
                     continue
-            sn, pairs = _norm_lane(a, b, n)
+            sn, terms = _norm_lane(a, b, n)
             if sn < char * n:
                 continue
-            # a finding is factored and classified by the exact library path,
-            # which certifies the lane: same exponents, same sigma norm
-            fac = _factor_point(ring, a, b, n)
+            # a finding certifies the lane: factor proves its exponents with
+            # one division by the cached prime powers, and the sigma built
+            # from the cached sigma(pi**j) must have the lane's norm
             x = QuadInt(ring, a, b)
-            lane_factors = sorted(pairs, key=lambda f: (f[0].norm(), f[0].a, f[0].b))
-            if fac.factors != tuple(lane_factors):
-                raise ScanInvariantError(f"lane exponents {pairs} differ from factor({x})")
-            cls = classify(x, factorization=fac)
+            claim, sig = _claim(ring, terms)
+            try:
+                fac = factor(x, claim=claim)
+            except ArithmeticError as exc:
+                pairs = [(pi, j) for pi, j, _ in terms]
+                raise ScanInvariantError(
+                    f"lane exponents {pairs} fail at {x}: {exc}"
+                ) from None
+            cls = classify(x, factorization=fac, sigma=sig)
             if cls.sigma_norm != sn:
                 raise ScanInvariantError(
                     f"lane sigma norm {sn} differs from {cls.sigma_norm} at {x}"

@@ -152,8 +152,8 @@ class TestSearchCommands:
         lane = search._norm_lane
 
         def shifted(a, b, n):  # right sigma norm, wrong exponents
-            sn, pairs = lane(a, b, n)
-            return sn, [(p, k + 1) for p, k in pairs]
+            sn, terms = lane(a, b, n)
+            return sn, [(p, k + 1, powers) for p, k, powers in terms]
 
         monkeypatch.setattr(search, "_norm_lane", shifted)
         code, _out, err = run(

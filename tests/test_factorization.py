@@ -181,3 +181,71 @@ class TestFactor:
 def test_wrong_norm_factors_raise(x, norm_factors, kind):
     with pytest.raises(ArithmeticError, match=f"{kind} peel mismatch"):
         factor(x, norm_factors=norm_factors)
+
+
+
+def _claim(fac):
+    return [(p, k, p**k) for p, k in fac.factors]
+
+
+def _shifted(claim):
+    # (1+i)^5 does not divide x
+    bump = {g(1, 1): 1}
+    return [(p, k + bump.get(p, 0), p ** (k + bump.get(p, 0))) for p, k, _ in claim]
+
+
+def _swapped(claim):
+    # (1+2i)^3 (2+i)^2 has the norm of (2+i)^3 (1+2i)^2 but does not divide x
+    swap = {g(2, 1): g(1, 2), g(1, 2): g(2, 1)}
+    return [(swap.get(p, p), k, swap.get(p, p) ** k) for p, k, _ in claim]
+
+
+def _repeated(claim):
+    # (2+i) * (2+i) divides x, but is one prime claimed twice
+    return claim + [(g(2, 1), 1, g(2, 1))]
+
+
+def _zero(claim):
+    return claim + [(g(4, 1), 0, g(1))]
+
+
+def _cofactor(claim):
+    # without 3 the division is exact and leaves 3
+    return [t for t in claim if t[0] != g(3)]
+
+
+def _associate(claim):
+    # 2-i is an associate of 1+2i, not its sector representative
+    return [(g(2, -1) if p == g(1, 2) else p, k, pw) for p, k, pw in claim]
+
+
+class TestClaim:
+    # x = (2+i)^3 * (1+2i)^2 * 3 * (1+i)^4 up to a unit
+    X = g(2, 1) ** 3 * g(1, 2) ** 2 * g(3) * g(1, 1) ** 4
+
+    def test_a_true_claim_gives_the_peeled_factorization(self):
+        rng = random.Random(53)
+        for ring in Ring:
+            for _ in range(300):
+                x = QuadInt(ring, rng.randint(-300, 300), rng.randint(-300, 300))
+                if x:
+                    fac = factor(x)
+                    assert factor(x, claim=_claim(fac)[::-1]) == fac, x
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_shifted, "do not divide"),
+            (_swapped, "do not divide"),
+            (_repeated, "repeated"),
+            (_zero, "not positive"),
+            (_cofactor, "do not divide"),
+            (_associate, "not canonical"),
+        ],
+        ids=["shifted", "swapped", "repeated", "zero", "cofactor", "associate"],
+    )
+    def test_a_wrong_claim_raises(self, edit, message):
+        claim = _claim(factor(self.X))
+        assert factor(self.X, claim=claim).recompose() == self.X
+        with pytest.raises(ArithmeticError, match=message):
+            factor(self.X, claim=edit(claim))

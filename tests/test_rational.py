@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 
@@ -282,10 +283,27 @@ class TestFactorRational:
         assert f.factors == ((10_007, 3),)
 
 
+def _spf_loop(limit):
+    """The element-by-element sieve, kept as the oracle."""
+    spf = array("i", range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
 class TestSieve:
     def test_spf_values(self):
         spf = smallest_prime_factor_sieve(100)
         assert spf[2] == 2 and spf[9] == 3 and spf[91] == 7 and spf[97] == 97
+
+    def test_slices_match_the_loop(self):
+        # every small limit, a larger one, and a prime square (211**2), whose
+        # last entry is the only multiple of 211 the sieve writes
+        for limit in (*range(201), 20_000, 211**2):
+            assert smallest_prime_factor_sieve(limit) == _spf_loop(limit), limit
 
     def test_factor_with_sieve_matches(self):
         spf = smallest_prime_factor_sieve(50_000)

@@ -8,7 +8,9 @@ import pytest
 from cycloperfect import search
 from cycloperfect.divisors import (
     Status,
+    _geometric_sum,
     classify,
+    divisor_sum_from_factorization,
     perfect_associate_unit,
     sigma_from_factorization,
 )
@@ -192,27 +194,76 @@ class TestNormLane:
             search._build_context(ring, bound)
             for a, b, n in iter_sector(ring, bound):
                 fac = search._factor_point(ring, a, b, n)
-                sn, pairs = search._norm_lane(a, b, n)
+                sn, terms = search._norm_lane(a, b, n)
+                pairs = [(p, k) for p, k, _ in terms]
                 factors = sorted(pairs, key=lambda f: (f[0].norm(), f[0].a, f[0].b))
                 assert factors == list(fac.factors), (a, b)
                 assert sn == sigma_from_factorization(fac).norm(), (a, b)
+
+    def test_claimed_factor_matches_peeling(self):
+        # every class up to 2*10^4: the lane's claim, certified by one
+        # division, gives peeling's factorization, and its sigma is sigma
+        bound = 20_000
+        for ring in Ring:
+            search._build_context(ring, bound)
+            for a, b, n in iter_sector(ring, bound):
+                x = QuadInt(ring, a, b)
+                claim, sig = search._claim(ring, search._norm_lane(a, b, n)[1])
+                fac = search._factor_point(ring, a, b, n)
+                assert factor(x, claim=claim) == fac, x
+                assert sig == sigma_from_factorization(fac), x
+
+    def test_cached_prime_powers(self):
+        # after the lane has run over every class up to 2*10^4, every cached
+        # entry j of every prime equals its definition
+        bound = 20_000
+        for ring in Ring:
+            search._build_context(ring, bound)
+            for a, b, n in iter_sector(ring, bound):
+                search._norm_lane(a, b, n)
+            caches = [(s[0], s[3]) for s in search._CTX["split"].values()]
+            caches += [(s[1], s[4]) for s in search._CTX["split"].values()]
+            caches += [(w[0], w[2]) for w in search._CTX["whole"].values()]
+            one = QuadInt(ring, 1, 0)
+            for pi, powers in caches:
+                # every prime of norm <= bound is a class itself, so has j = 1
+                assert len(powers) >= 2, pi
+                for j, (sn, s, power) in enumerate(powers):
+                    fac = Factorization(one, ((pi, j),) if j else ())
+                    assert s == _geometric_sum(pi, j), (pi, j)
+                    assert power == pi**j, (pi, j)
+                    assert sn == divisor_sum_from_factorization(fac).norm(), (pi, j)
 
     def test_a_wrong_lane_fails_the_finding_certificate(self, monkeypatch):
         lane = search._norm_lane
 
         def inflated(a, b, n):  # every class looks non-deficient
-            sn, pairs = lane(a, b, n)
-            return sn * 10**6, pairs
+            sn, terms = lane(a, b, n)
+            return sn * 10**6, terms
 
         monkeypatch.setattr(search, "_norm_lane", inflated)
         with pytest.raises(ScanInvariantError, match="sigma norm"):
             sector_scan(GAUSSIAN, 100, jobs=1)
 
         def shifted(a, b, n):  # right sigma norm, wrong exponents
-            sn, pairs = lane(a, b, n)
-            return sn, [(p, k + 1) for p, k in pairs]
+            sn, terms = lane(a, b, n)
+            return sn, [(p, k + 1, powers) for p, k, powers in terms]
 
         monkeypatch.setattr(search, "_norm_lane", shifted)
+        with pytest.raises(ScanInvariantError, match="exponents"):
+            sector_scan(GAUSSIAN, 100, jobs=1)
+
+        def swapped(a, b, n):  # pi and pi_bar trade places: the norm still fits
+            sn, terms = lane(a, b, n)
+            out = []
+            for p, k, powers in terms:
+                s = search._CTX["split"].get(p.norm())
+                if s is not None:
+                    p, powers = (s[1], s[4]) if p == s[0] else (s[0], s[3])
+                out.append((p, k, powers))
+            return sn, out
+
+        monkeypatch.setattr(search, "_norm_lane", swapped)
         with pytest.raises(ScanInvariantError, match="exponents"):
             sector_scan(GAUSSIAN, 100, jobs=1)
 
