@@ -1,26 +1,29 @@
 """Rational-integer primality testing and factorization.
 
-Primality runs trial division by all primes below 10**4 first.  From 2**64
-on, an n whose n - 1 is divisible by a power F of 2 or 3 with F*F > n (as
-is the norm of min**k - 1 for odd k in both quadratic rings) is proven
-prime or composite by Pocklington's criterion.  Every other n below PSI13
-(about 3.3e24) is decided by the first 13 primes as fixed Miller-Rabin
-witnesses; from PSI13 on, such an n is probable prime after
-MR_ROUNDS_LARGE random Miller-Rabin rounds.  Before any of that, a Mersenne
-norm of prime exponent k can be proven composite by a divisor of the form
-its primes are forced to have (divisor_in_classes).  Factoring runs trial
-division and then Brent's cycle-finding variant of Pollard rho.  All
-randomized pieces draw from generators seeded by the documented constants
-below, so results are reproducible run to run.
+Trial division by all primes below 10**4 is one gcd with their product,
+which decides every n below 10**8.  From 2**64 on, an n whose n - 1 is
+divisible by a power F of 2 or 3 with F*F > n (as is the norm of
+min**k - 1 for odd k in both quadratic rings) is proven prime or composite
+by Pocklington's criterion.  Every other n below PSI13 (about 3.3e24) is
+decided by the first t primes as fixed Miller-Rabin witnesses, with t the
+least index for which n < psi_t, the least strong pseudoprime to those t
+bases; from PSI13 on, such an n is probable prime after MR_ROUNDS_LARGE
+random Miller-Rabin rounds.  Before any of that, a Mersenne norm of prime
+exponent k can be proven composite by a divisor of the form its primes are
+forced to have (divisor_in_classes).  Factoring divides out the small
+primes of that same gcd and then runs Brent's cycle-finding variant of
+Pollard rho.  All randomized pieces draw from generators seeded by the
+documented constants below, so results are reproducible run to run.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count, islice
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 # Seeds for the randomized splitting / large-number witness choices.
 PRIMALITY_SEED = 0x1D8A_5EED
@@ -29,11 +32,27 @@ FACTOR_SEED = 0xB1D_5EED
 TRIAL_DIVISION_BOUND = 10_000
 MR_ROUNDS_LARGE = 40
 
-# The first 13 primes as Miller-Rabin witnesses decide every n < PSI13, the
-# least strong pseudoprime to all of them.  The first 12 (_MR_WITNESSES_64)
-# suffice below 2**64 and stop at psi12 = 318665857834031151167461
-# (Sorenson and Webster 2017).
+# The first t primes as Miller-Rabin witnesses decide every n < _PSI[t - 1],
+# the least strong pseudoprime to all of them: psi_1..psi_11 from Jaeschke
+# (Math. Comp. 61, 1993; OEIS A014233), psi_12 and psi_13 from Sorenson and
+# Webster (Math. Comp. 86, 2017).  The first 12 (_MR_WITNESSES_64) suffice
+# below 2**64.
 PSI13 = 3317044064679887385961981
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    PSI13,
+)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_WITNESSES_64 = _MR_WITNESSES[:12]
 
@@ -48,6 +67,8 @@ def _sieve_primes(limit: int) -> list[int]:
 
 
 SMALL_PRIMES = _sieve_primes(TRIAL_DIVISION_BOUND)
+_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+_SMALL_PRODUCT = prod(SMALL_PRIMES)
 
 
 def _miller_rabin(n: int, a: int) -> bool:
@@ -133,21 +154,30 @@ def divisor_in_classes(n: int, k: int, degree: int) -> int | None:
 
 
 def is_rational_prime(n: int) -> bool:
+    """Whether n is prime, decided in this order:
+
+    1. n shares a factor with the product of SMALL_PRIMES: prime exactly
+       when it is one of them;
+    2. otherwise n < TRIAL_DIVISION_BOUND**2 is prime;
+    3. from 2**64 on, Pocklington's criterion, when it applies;
+    4. below PSI13, the first t fixed witnesses, t least with n < psi_t;
+    5. from PSI13 on, MR_ROUNDS_LARGE rounds seeded by PRIMALITY_SEED ^ n.
+
+    Only step 5 is probabilistic.
+    """
     if n < 2:
         return False
-    for p in SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-        if p * p > n:
-            return True
+    if gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIME_SET
+    if n < TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
+        return True
     if n >= 1 << 64:
         proven = _pocklington(n)
         if proven is not None:
             return proven
     if n < PSI13:
-        return all(_miller_rabin(n, a) for a in _MR_WITNESSES)
+        t = bisect_right(_PSI, n) + 1
+        return all(_miller_rabin(n, a) for a in _MR_WITNESSES[:t])
     rng = random.Random(PRIMALITY_SEED ^ n)
     return all(
         _miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(MR_ROUNDS_LARGE)
@@ -185,7 +215,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             r <<= 1
@@ -193,7 +223,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
 
@@ -206,12 +236,21 @@ def factor_rational(n: int) -> RationalFactorization:
     if n < 0:
         sign, n = -1, -n
     counts: dict[int, int] = {}
+    # g is the product of the small primes dividing n; trial division of g
+    # finds them, and once p * p > g what is left of g is the last one
+    g = gcd(n, _SMALL_PRODUCT)
     for p in SMALL_PRIMES:
-        if p * p > n:
+        if g == 1:
             break
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
+        if p * p > g:
+            p = g
+        if g % p == 0:
+            g //= p
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            counts[p] = e
     if n > 1:
         stack = [n]
         rng = random.Random(FACTOR_SEED ^ n)

@@ -319,14 +319,33 @@ _MINIMAL = {
 
 
 def gcd(x: QuadInt, y: QuadInt) -> QuadInt:
-    """A greatest common divisor, returned as the sector representative."""
-    if x.ring is not y.ring:
+    """A greatest common divisor, returned as the sector representative.
+
+    Euclid's algorithm with the remainders of ``x % y``: the quotient is
+    x * conj(y) / N(y) rounded by _round_nearest.  The steps run on
+    coordinate pairs (a, b) and (c, d) rather than on QuadInt values, so
+    one QuadInt is built, for the last nonzero remainder.
+    """
+    ring = x.ring
+    if ring is not y.ring:
         raise RingMismatchError("gcd of elements from different rings")
     if not x and not y:
         raise ZeroDivisionError("gcd(0, 0) is undefined")
-    while y:
-        x, y = y, x % y
-    return x.sector_canonical()[1]
+    a, b, c, d = x.a, x.b, y.a, y.b
+    gaussian = ring is Ring.GAUSSIAN
+    while c or d:
+        n = c * c + d * d if gaussian else c * c - c * d + d * d
+        # (a + b*theta) * conj(c + d*theta) = pa + pb*theta
+        pa = a * c + b * d if gaussian else a * (c - d) + b * d
+        pb = b * c - a * d
+        qa, qb = _round_nearest(pa, n), _round_nearest(pb, n)
+        # the remainder (a + b*theta) - (qa + qb*theta) * (c + d*theta)
+        ra = a - qa * c + qb * d
+        rb = b - qa * d - qb * c
+        if not gaussian:
+            rb += qb * d
+        a, b, c, d = c, d, ra, rb
+    return QuadInt(ring, a, b).sector_canonical()[1]
 
 
 # -- element text grammar ------------------------------------------------------

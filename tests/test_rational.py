@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from array import array
@@ -28,6 +29,77 @@ def brute_force_is_prime(n):
     return True
 
 
+def is_prime_by_loop(n):
+    """is_rational_prime with trial division as a loop over SMALL_PRIMES and
+    all 13 fixed witnesses below PSI13, kept as the oracle."""
+    if n < 2:
+        return False
+    for p in SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+        if p * p > n:
+            return True
+    if n >= 1 << 64:
+        proven = rational._pocklington(n)
+        if proven is not None:
+            return proven
+    if n < rational.PSI13:
+        return all(rational._miller_rabin(n, a) for a in rational._MR_WITNESSES)
+    rng = random.Random(rational.PRIMALITY_SEED ^ n)
+    return all(
+        rational._miller_rabin(n, rng.randrange(2, n - 1))
+        for _ in range(rational.MR_ROUNDS_LARGE)
+    )
+
+
+def factor_by_loop(n):
+    """factor_rational with trial division as a loop over SMALL_PRIMES, kept
+    as the oracle: (sign, factors)."""
+    sign = 1
+    if n < 0:
+        sign, n = -1, -n
+    counts = {}
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        stack = [n]
+        rng = random.Random(rational.FACTOR_SEED ^ n)
+        while stack:
+            m = stack.pop()
+            if is_prime_by_loop(m):
+                counts[m] = counts.get(m, 0) + 1
+                continue
+            d = rational._brent_rho(m, rng)
+            stack.append(d)
+            stack.append(m // d)
+    return sign, tuple(sorted(counts.items()))
+
+
+# psi_t, the least strong pseudoprime to the first t primes, with its factors
+PSI_FACTORS = (
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),
+    (3317044064679887385961981, (1287836182261, 2575672364521)),
+)
+PSI = tuple(psi for psi, _ in PSI_FACTORS)
+
+
 class TestPrimality:
     def test_small_prime_table(self):
         assert SMALL_PRIMES[0] == 2
@@ -54,6 +126,34 @@ class TestPrimality:
         for n in range(2_000):
             assert is_rational_prime(n) == brute_force_is_prime(n), n
 
+    def test_agrees_with_sieve(self):
+        # every n < 2*10**6: both sides of 10**4, where the gcd with the
+        # product of SMALL_PRIMES decides alone
+        limit = 2 * 10**6
+        sieve = bytearray([1]) * limit
+        sieve[0:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+        got = bytearray(is_rational_prime(n) for n in range(limit))
+        assert got == sieve
+
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            (9973**2, False),  # square of the largest small prime
+            (10007**2, False),  # the least composite with no small factor
+            (10007 * 10009, False),
+            (99999989, True),  # the largest prime below 10**8
+            (10**8 - 1, False),
+            (10**8, False),
+            (10**8 + 1, False),  # 17 * 5882353
+            (100000007, True),  # the least prime above 10**8
+        ],
+    )
+    def test_trial_division_boundaries(self, n, expected):
+        assert is_rational_prime(n) == is_prime_by_loop(n) == expected
+
     def test_large_primes(self):
         # 2**89 - 1 and the product exercise the >64-bit randomized path; the
         # Eisenstein Mersenne norm for k = 193 takes the Pocklington path
@@ -74,6 +174,20 @@ class TestPrimality:
         assert all(rational._miller_rabin(psi12, a) for a in rational._MR_WITNESSES_64)
         assert not rational._miller_rabin(psi12, 41)
         assert not is_rational_prime(psi12)
+
+    def test_psi_table(self):
+        # each psi_t is composite, reported composite, and a strong
+        # pseudoprime to the first t' primes and not the next one, where t'
+        # is the largest index with that value (psi7 = psi8, psi9..psi11)
+        assert rational._PSI == PSI
+        for t, (psi, factors) in enumerate(PSI_FACTORS, 1):
+            assert math.prod(factors) == psi and len(factors) > 1, t
+            assert not is_rational_prime(psi), t
+            last = max(u for u, (v, _) in enumerate(PSI_FACTORS, 1) if v == psi)
+            passed = 0
+            while rational._miller_rabin(psi, SMALL_PRIMES[passed]):
+                passed += 1
+            assert passed == last, t
 
 
 def miller_rabin_oracle(n, rounds=40):
@@ -97,14 +211,18 @@ def miller_rabin_oracle(n, rounds=40):
     return True
 
 
-def forbid_random_rounds(monkeypatch):
-    """Make any Miller-Rabin round with a base outside the fixed witnesses raise."""
-    plain = rational._miller_rabin
+_plain_miller_rabin = rational._miller_rabin
+
+
+def forbid_random_rounds(monkeypatch, t=13):
+    """Make any Miller-Rabin round with a base outside the first t fixed
+    witnesses raise."""
+    allowed = rational._MR_WITNESSES[:t]
 
     def fixed_bases_only(n, a):
-        if a not in rational._MR_WITNESSES:
-            raise AssertionError(f"random Miller-Rabin round on {n}")
-        return plain(n, a)
+        if a not in allowed:
+            raise AssertionError(f"Miller-Rabin round on {n} with base {a}")
+        return _plain_miller_rabin(n, a)
 
     monkeypatch.setattr(rational, "_miller_rabin", fixed_bases_only)
 
@@ -121,16 +239,30 @@ class TestPsi13:
         assert not is_rational_prime(psi13)
 
     def test_fixed_bases_decide_below_psi13(self, monkeypatch):
-        # odd n in [2**64, psi13), bit lengths spread evenly, and psi12
+        # odd n in each band [psi_(t-1), psi_t), both ends included, and in
+        # [2**64, psi13) with bit lengths spread evenly: the first t
+        # witnesses decide each n, and a base past the t-th raises
         rng = random.Random(1313)
-        ns = [318665857834031151167461]
+        bands = {}
+        lower = 3
+        for t, psi in enumerate(PSI, 1):
+            if lower < psi:
+                ns = [lower, psi - 2]
+                ns += [rng.randrange(lower, psi - 1) | 1 for _ in range(300)]
+                bands[t] = ns
+            lower = psi
         for _ in range(3000):
             b = rng.randrange(64, rational.PSI13.bit_length())
-            ns.append(rng.randrange(1 << b, min(2 << b, rational.PSI13 - 1)) | 1)
-        want = [miller_rabin_oracle(n) for n in ns]
-        assert 50 < sum(want) < len(ns)
-        forbid_random_rounds(monkeypatch)
-        assert [is_rational_prime(n) for n in ns] == want
+            n = rng.randrange(1 << b, min(2 << b, rational.PSI13 - 1)) | 1
+            bands[bisect.bisect_right(PSI, n) + 1].append(n)
+        assert sorted(bands) == [1, 2, 3, 4, 5, 6, 7, 9, 12, 13]
+        primes = 0
+        for t, ns in bands.items():
+            want = [miller_rabin_oracle(n) for n in ns]
+            primes += sum(want)
+            forbid_random_rounds(monkeypatch, t)
+            assert [is_rational_prime(n) for n in ns] == want, t
+        assert 200 < primes < sum(map(len, bands.values())) / 4
 
     def test_point_queries_need_no_random_rounds(self, monkeypatch):
         # classify with |a|, |b| <= 10**10, as the benchmark's point queries:
@@ -281,6 +413,23 @@ class TestFactorRational:
     def test_prime_power(self):
         f = factor_rational(10_007**3)
         assert f.factors == ((10_007, 3),)
+
+    def test_matches_the_loop(self):
+        # seeded products of many small primes, high small-prime powers, a
+        # small prime times a cofactor that rho splits, signs and +-1
+        rng = random.Random(47)
+        ns = [1, -1, 2**200 * 9973**3, -(2**200 * 9973**3), math.prod(SMALL_PRIMES)]
+        ns += [9973 * 9967, 2 * 9973, 9973 * 1_000_003 * 1_000_033]
+        for _ in range(300):
+            ps = rng.sample(SMALL_PRIMES, rng.randint(1, 40))
+            n = math.prod(p ** rng.randint(1, 5) for p in ps)
+            ns.append(n * rng.choice((1, -1, rng.randint(2, 10**12))))
+        for _ in range(300):
+            ns.append(rng.randint(-(10**15), 10**15) or 1)
+        for n in ns:
+            f = factor_rational(n)
+            assert (f.sign, f.factors) == factor_by_loop(n), n
+            assert f.value() == n
 
 
 def _spf_loop(limit):

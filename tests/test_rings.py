@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from cycloperfect.factorization import _cube_root_of_unity, _sqrt_minus_one
+from cycloperfect.rational import is_rational_prime
 from cycloperfect.rings import (
     EISENSTEIN,
     GAUSSIAN,
@@ -25,6 +27,13 @@ def g(a, b=0):
 
 def random_element(rng, ring, span=200):
     return QuadInt(ring, rng.randint(-span, span), rng.randint(-span, span))
+
+
+def gcd_by_quadint_loop(x, y):
+    """Euclid on QuadInt values, kept as the oracle for gcd."""
+    while y:
+        x, y = y, x % y
+    return x.sector_canonical()[1]
 
 
 class TestArithmetic:
@@ -205,6 +214,35 @@ class TestEuclidean:
     def test_gcd_zero_zero(self):
         with pytest.raises(ZeroDivisionError):
             gcd(e(0), e(0))
+        with pytest.raises(ZeroDivisionError):
+            gcd(g(0), g(0))
+
+    def test_gcd_matches_quadint_loop(self):
+        # zero operands, units, negative coordinates at several scales, and
+        # prime_above's (q, c - theta) pairs for split q in (10**6, 10**20)
+        rng = random.Random(29)
+        for ring in Ring:
+            zero = QuadInt(ring, 0)
+            pairs = [(u, v) for u in ring.units for v in (zero, *ring.units)]
+            pairs += [(zero, u) for u in ring.units]
+            for span in (1, 3, 200, 10**6, 10**20):
+                for _ in range(300):
+                    x = random_element(rng, ring, span)
+                    y = random_element(rng, ring, span)
+                    pairs += [(x, y), (x, zero), (zero, y), (x * y, y)]
+            root = _sqrt_minus_one if ring is GAUSSIAN else _cube_root_of_unity
+            split = 0
+            while split < 100:
+                q = rng.randrange(10**6, 10**20)
+                if ring.is_inert(q) or not is_rational_prime(q) or ring.is_ramified(q):
+                    continue
+                split += 1
+                x, y = QuadInt(ring, q, 0), QuadInt(ring, root(q), -1)
+                assert gcd(x, y).norm() == q
+                pairs += [(x, y), (y, x)]
+            for x, y in pairs:
+                if x or y:
+                    assert gcd(x, y) == gcd_by_quadint_loop(x, y), (x, y)
 
     def test_gcd_properties(self):
         rng = random.Random(23)
