@@ -1,9 +1,10 @@
 """Arithmetic in Z[zeta_p] for the class-number-1 primes p.
 
 Elements are integer coefficient vectors of length p-1 reduced by the
-cyclotomic polynomial 1 + x + ... + x^(p-1).  Norms are determinants of the
-(p-1)-square multiplication matrix by exact fraction-free (Bareiss)
-elimination, so they stay correct at any coefficient size.  No
+cyclotomic polynomial 1 + x + ... + x^(p-1).  A norm is the product of the
+p-1 Galois conjugates, taken up a chain of subfields in exact integers
+(Cohen, A Course in Computational Algebraic Number Theory, GTM 138), so it
+stays correct at any coefficient size.  No
 positive-representative system exists here for p >= 5; the module provides
 norms, evenness, the ramification identity, residue degrees and splitting
 patterns, generalized Mersenne norms, and the abstract odd-form congruence
@@ -15,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import add, itemgetter, mul
 
 from .parallel import run_chunks
-from .rational import divisor_in_classes, is_rational_prime
+from .rational import divisor_in_classes, factor_rational, is_rational_prime
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
@@ -129,45 +131,72 @@ def one_minus_zeta(p: int) -> CycElement:
     return CycElement(p, [1, -1])
 
 
-def _bareiss_determinant(m: list[list[int]]) -> int:
-    """Exact integer determinant via fraction-free elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def _tower(p: int) -> list[tuple]:
+    """The ring products that take x to N(x), up a chain of subfields.
+
+    With a generator g of (Z/p)^* and the prime factors l_1 <= ... <= l_r
+    of p - 1, step i multiplies y by its conjugates sigma_s(y), s = tau**j
+    for 0 < j < l_i, tau = g**((p-1)/(l_1...l_i)); y is then fixed by the
+    subgroup of order l_1...l_i, and after step r it is N(x).  Vectors live
+    in Z[t]/(t^p - 1), where sigma_s: t -> t^s permutes indices.  Listing
+    the indices as 0, g^0, g^1, ..., g^(p-2) puts the cosets g^k H (k < m)
+    of the subgroup H of index m in the columns of m-wide rows, and z fixed
+    by H is constant on each.  So coefficient r of z * w = sum_i z_i w_(r-i)
+    is z_0 w_r plus the sum over k of z_(g^k) times column k's sum of
+    w_(r-i), and a product needs one r per coset of the group fixing it.
+
+    A product is (s, step_end, take, reps, m, coset): take(y) lists
+    sigma_s(y)_(r-i) for each needed r (0, g^0, g^1, ...) and each listed
+    i, reps(z) lists z at 0, g^0, ..., g^(m-1), and coset[v] is the place
+    of v's r among the needed ones.
+    """
+    factors = [q for q, e in factor_rational(p - 1).factors for _ in range(e)]
+    g = next(
+        g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+    )
+    powers = [pow(g, e, p) for e in range(p - 1)]
+    log = {power: e for e, power in enumerate(powers)}
+    listing = [0] + powers
+    products = []
+    m = p - 1
+    for q in factors:
+        for j in range(1, q):
+            m_out = m // q if j == q - 1 else m
+            s = powers[j * m // q]  # tau**j, tau = g**(m/q)
+            # sigma_s(y) has y_v at t^(v*s), so its t^(r-i) is y_((r-i)/s)
+            inverse = pow(s, -1, p)
+            take = itemgetter(
+                *[(r - i) * inverse % p for r in listing[: m_out + 1] for i in listing]
+            )
+            coset = [0] + [1 + log[v] % m_out for v in range(1, p)]
+            products.append((s, m_out < m, take, itemgetter(*listing[: m + 1]), m, coset))
+        m //= q
+    return products
+
+
+_TOWERS = {p: _tower(p) for p in SUPPORTED_PRIMES}
 
 
 def cyc_norm(x: CycElement) -> int:
-    """The field norm: the determinant of multiplication by x on the basis
-    1, zeta, ..., zeta**(p-2).  Row i holds x * zeta**i, each row the one
-    above times zeta with zeta**(p-1) = -(1 + zeta + ... + zeta**(p-2))."""
-    row = list(x.coeffs)
-    rows = []
-    for _ in range(x.p - 1):
-        rows.append(row)
-        top = row[-1]
-        row = [-top] + [c - top for c in row[:-1]]
-    return _bareiss_determinant(rows)
+    """The field norm: the product of the p - 1 conjugates of x, exact at
+    any size, taken up the tower of subfields of _tower.  The last product
+    is fixed by the whole group, c0 + c1*(t + ... + t^(p-1)), which is
+    c0 - c1 at t = zeta_p."""
+    p = x.p
+    y = z = [*x.coeffs, 0]
+    for _, step_end, take, reps, m, coset in _TOWERS[p]:
+        b = take(y)
+        a0, *a = reps(z)
+        vals = []
+        for r in range(0, len(b), p):
+            sums = b[r + 1 : r + 1 + m]
+            for c in range(r + 1 + m, r + p, m):
+                sums = map(add, sums, b[c : c + m])
+            vals.append(a0 * b[r] + sum(map(mul, a, sums)))
+        z = [vals[k] for k in coset]
+        if step_end:
+            y = z
+    return vals[0] - vals[1]
 
 
 def cyc_is_even(x: CycElement) -> bool:

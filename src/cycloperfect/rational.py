@@ -1,19 +1,21 @@
 """Rational-integer primality testing and factorization.
 
-Trial division by all primes below 10**4 is one gcd with their product,
-which decides every n below 10**8.  From 2**64 on, an n whose n - 1 is
-divisible by a power F of 2 or 3 with F*F > n (as is the norm of
-min**k - 1 for odd k in both quadratic rings) is proven prime or composite
-by Pocklington's criterion.  Every other n below PSI13 (about 3.3e24) is
-decided by the first t primes as fixed Miller-Rabin witnesses, with t the
-least index for which n < psi_t, the least strong pseudoprime to those t
-bases; from PSI13 on, such an n is probable prime after MR_ROUNDS_LARGE
-random Miller-Rabin rounds.  Before any of that, a Mersenne norm of prime
-exponent k can be proven composite by a divisor of the form its primes are
-forced to have (divisor_in_classes).  Factoring divides out the small
-primes of that same gcd and then runs Brent's cycle-finding variant of
-Pollard rho.  All randomized pieces draw from generators seeded by the
-documented constants below, so results are reproducible run to run.
+Below 10**4 primality is a set lookup.  Above it, trial division by all
+primes below 10**4 is one gcd with their product, after a cheap one with
+the product of those below 200, and it decides every n below 10**8.  From
+2**64 on, an n whose n - 1 is divisible by a power F of 2 or 3 with
+F*F > n (as is the norm of min**k - 1 for odd k in both quadratic rings)
+is proven prime or composite by Pocklington's criterion.  Every other n
+below PSI13 (about 3.3e24) is decided by the first t primes as fixed
+Miller-Rabin witnesses, with t the least index for which n < psi_t, the
+least strong pseudoprime to those t bases; from PSI13 on, such an n is
+probable prime after MR_ROUNDS_LARGE random Miller-Rabin rounds.  Before
+any of that, a Mersenne norm of prime exponent k can be proven composite
+by a divisor of the form its primes are forced to have
+(divisor_in_classes).  Factoring divides out the small primes of the long
+gcd and then runs Brent's cycle-finding variant of Pollard rho.  All
+randomized pieces draw from generators seeded by the documented constants
+below, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ MR_ROUNDS_LARGE = 40
 # The first t primes as Miller-Rabin witnesses decide every n < _PSI[t - 1],
 # the least strong pseudoprime to all of them: psi_1..psi_11 from Jaeschke
 # (Math. Comp. 61, 1993; OEIS A014233), psi_12 and psi_13 from Sorenson and
-# Webster (Math. Comp. 86, 2017).  The first 12 (_MR_WITNESSES_64) suffice
-# below 2**64.
+# Webster (Math. Comp. 86, 2017).  The first 12 suffice below 2**64.
 PSI13 = 3317044064679887385961981
 _PSI = (
     2047,
@@ -54,7 +55,6 @@ _PSI = (
     PSI13,
 )
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_WITNESSES_64 = _MR_WITNESSES[:12]
 
 
 def _sieve_primes(limit: int) -> list[int]:
@@ -69,6 +69,7 @@ def _sieve_primes(limit: int) -> list[int]:
 SMALL_PRIMES = _sieve_primes(TRIAL_DIVISION_BOUND)
 _SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
 _SMALL_PRODUCT = prod(SMALL_PRIMES)
+_SHORT_PRODUCT = prod(p for p in SMALL_PRIMES if p < 200)
 
 
 def _miller_rabin(n: int, a: int) -> bool:
@@ -156,19 +157,21 @@ def divisor_in_classes(n: int, k: int, degree: int) -> int | None:
 def is_rational_prime(n: int) -> bool:
     """Whether n is prime, decided in this order:
 
-    1. n shares a factor with the product of SMALL_PRIMES: prime exactly
-       when it is one of them;
-    2. otherwise n < TRIAL_DIVISION_BOUND**2 is prime;
-    3. from 2**64 on, Pocklington's criterion, when it applies;
-    4. below PSI13, the first t fixed witnesses, t least with n < psi_t;
-    5. from PSI13 on, MR_ROUNDS_LARGE rounds seeded by PRIMALITY_SEED ^ n.
+    1. n < TRIAL_DIVISION_BOUND is prime exactly when it is in SMALL_PRIMES;
+    2. n sharing a factor with the product of SMALL_PRIMES is composite;
+       the product of those below 200 goes first, as it settles most n in
+       a fraction of the time;
+    3. otherwise n < TRIAL_DIVISION_BOUND**2 is prime;
+    4. from 2**64 on, Pocklington's criterion, when it applies;
+    5. below PSI13, the first t fixed witnesses, t least with n < psi_t;
+    6. from PSI13 on, MR_ROUNDS_LARGE rounds seeded by PRIMALITY_SEED ^ n.
 
-    Only step 5 is probabilistic.
+    Only step 6 is probabilistic.
     """
-    if n < 2:
-        return False
-    if gcd(n, _SMALL_PRODUCT) != 1:
+    if n < TRIAL_DIVISION_BOUND:
         return n in _SMALL_PRIME_SET
+    if gcd(n, _SHORT_PRODUCT) != 1 or gcd(n, _SMALL_PRODUCT) != 1:
+        return False
     if n < TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
         return True
     if n >= 1 << 64:

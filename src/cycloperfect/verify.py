@@ -706,8 +706,9 @@ def _check_discriminants(jobs) -> list[dict]:
         if cyc.discriminant(p) != value:
             failures.append(_fail("discriminant", p, value, cyc.discriminant(p)))
     # independent road: disc(f) = (-1)^(d(d-1)/2) Res(f, f') for monic f,
-    # with Res(Phi_p, Phi_p') evaluated by the norm machinery (the derivative
-    # has degree p-2, so it embeds as a coefficient vector unreduced)
+    # with Res(Phi_p, Phi_p') = N(Phi_p'(zeta_p)) computed by cyc_norm as a
+    # product of conjugates, not from the closed form (the derivative has
+    # degree p-2, so it embeds as a coefficient vector unreduced)
     for p in cyc.SUPPORTED_PRIMES:
         d = p - 1
         deriv = list(range(1, p))  # ascending coefficients of Phi_p'

@@ -83,7 +83,7 @@ class TestNorm:
     def test_norm_of_conjugate_product(self):
         # N(x) equals the product over all automorphisms zeta -> zeta^j
         rng = random.Random(83)
-        for p in (5, 7):
+        for p in SUPPORTED_PRIMES:
             for _ in range(50):
                 coeffs = [rng.randint(-5, 5) for _ in range(p - 1)]
                 x = CycElement(p, coeffs)
@@ -95,6 +95,47 @@ class TestNorm:
                         conj = conj + term
                     product = product * conj
                 assert product.coeffs == (cyc_norm(x),) + (0,) * (p - 2)
+
+
+def bareiss_determinant(m):
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            row_k = m[k]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def matrix_norm(x):
+    """Oracle: the determinant of multiplication by x on the basis 1, zeta,
+    ..., zeta**(p-2).  Row i holds x * zeta**i, each row the one above
+    times zeta with zeta**(p-1) = -(1 + zeta + ... + zeta**(p-2))."""
+    row = list(x.coeffs)
+    rows = []
+    for _ in range(x.p - 1):
+        rows.append(row)
+        top = row[-1]
+        row = [-top] + [c - top for c in row[:-1]]
+    return bareiss_determinant(rows)
 
 
 def sylvester_norm(x):
@@ -114,25 +155,66 @@ def sylvester_norm(x):
     fd, gd = [1] * p, g[::-1]
     rows = [[0] * i + fd + [0] * (size - m - 1 - i) for i in range(n)]
     rows += [[0] * i + gd + [0] * (size - n - 1 - i) for i in range(m)]
-    return cyclotomic._bareiss_determinant(rows)
+    return bareiss_determinant(rows)
+
+
+def assert_oracles_agree(x):
+    norm = cyc_norm(x)
+    assert norm == matrix_norm(x) == sylvester_norm(x), (x, norm)
 
 
 class TestNormOracle:
     def test_random_elements(self):
+        # every length, so short and constant elements whose top
+        # coefficients are 0 come up too
         rng = random.Random(103)
         for p in SUPPORTED_PRIMES:
-            for _ in range(150):
-                # short and constant elements too, whose top coefficients are 0
-                length = rng.randint(1, p - 1)
-                coeffs = [rng.randint(-9, 9) for _ in range(length)]
-                x = CycElement(p, coeffs)
-                assert cyc_norm(x) == sylvester_norm(x), (p, coeffs)
+            for length in range(p):
+                for _ in range(40):
+                    coeffs = [rng.randint(-9, 9) for _ in range(length)]
+                    assert_oracles_agree(CycElement(p, coeffs))
+
+    def test_special_elements(self):
+        rng = random.Random(107)
+        for p in SUPPORTED_PRIMES:
+            assert_oracles_agree(CycElement.from_int(p, 0))
+            for j in range(p):
+                assert_oracles_agree(CycElement.zeta(p, j))
+                assert_oracles_agree(-CycElement.zeta(p, j))
+            for n in (1, -1, 2, -3, 7, 2**64 + 13, -(2**200)):
+                assert_oracles_agree(CycElement.from_int(p, n))
+            for _ in range(20):
+                coeffs = [
+                    rng.choice((1, -1)) * 2**200 + rng.randint(-9, 9) for _ in range(p - 1)
+                ]
+                assert_oracles_agree(CycElement(p, coeffs))
 
     def test_mersenne_norms(self):
+        # every k <= 120, and the record exponents k = +-1 (mod 4p) to 600
         for p in SUPPORTED_PRIMES:
-            for k in range(1, 121):
+            ks = [k for k in range(1, 601) if k <= 120 or k % (4 * p) in (1, 4 * p - 1)]
+            for k in ks:
                 x = one_minus_zeta(p) ** k - CycElement.from_int(p, 1)
-                assert cyc_mersenne_norm(p, k) == sylvester_norm(x), (p, k)
+                norm = cyc_mersenne_norm(p, k)
+                assert norm == matrix_norm(x) == sylvester_norm(x), (p, k)
+
+    def test_tower_conjugates_cover_the_group(self):
+        # composing 1 or one conjugate of each step gives every element of
+        # (Z/p)^* once; p - 1 = 2, 4, 6, 10, 12, 16, 18 take the sum of
+        # l - 1 over its prime factors l: 1, 2, 3, 5, 4, 4, 5 products
+        counts = []
+        for p in SUPPORTED_PRIMES:
+            tower = cyclotomic._TOWERS[p]
+            counts.append(len(tower))
+            cover, step = [1], [1]
+            for s, step_end, *_ in tower:
+                step.append(s)
+                if step_end:
+                    cover = [a * b % p for a in cover for b in step]
+                    step = [1]
+            assert step == [1], p
+            assert sorted(cover) == list(range(1, p)), p
+        assert counts == [1, 2, 3, 5, 4, 4, 5]
 
 
 class TestEvenness:

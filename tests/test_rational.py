@@ -167,11 +167,12 @@ class TestPrimality:
 
     def test_twelve_witnesses_stop_at_psi12(self):
         # psi12 is the least strong pseudoprime to the bases 2..37, the
-        # bound of _MR_WITNESSES_64; base 41 exposes it
+        # bound of the first 12 witnesses; base 41 exposes it
         psi12 = 318665857834031151167461
         assert psi12 == 399165290221 * 798330580441
-        assert rational._MR_WITNESSES_64 == tuple(SMALL_PRIMES[:12])
-        assert all(rational._miller_rabin(psi12, a) for a in rational._MR_WITNESSES_64)
+        witnesses = rational._MR_WITNESSES[:12]
+        assert witnesses == tuple(SMALL_PRIMES[:12])
+        assert all(rational._miller_rabin(psi12, a) for a in witnesses)
         assert not rational._miller_rabin(psi12, 41)
         assert not is_rational_prime(psi12)
 
