@@ -16,7 +16,6 @@ from .divisors import (
     check_odd_power_divisibility,
     check_spira_inequality,
     classify,
-    divisor_sum_oracle,
     sigma,
 )
 from .factorization import Factorization, factor, is_ring_prime, prime_above
@@ -71,7 +70,6 @@ __all__ = [
     "check_spira_inequality",
     "classify",
     "composite_exponent_witness",
-    "divisor_sum_oracle",
     "factor",
     "factor_rational",
     "find_normperfect_primes",

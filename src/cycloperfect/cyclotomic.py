@@ -30,18 +30,13 @@ def _check_p(p: int) -> None:
 
 
 def _reduce(coeffs: list[int], p: int) -> tuple[int, ...]:
-    """Reduce mod 1 + x + ... + x^(p-1): x^d with d >= p-1 folds down to
-    -(x^(d-p+1) + ... + x^(d-1))."""
-    coeffs = list(coeffs)
-    for d in range(len(coeffs) - 1, p - 2, -1):
-        c = coeffs[d]
-        if c:
-            coeffs[d] = 0
-            for j in range(d - p + 1, d):
-                coeffs[j] -= c
-    del coeffs[p - 1 :]
-    coeffs.extend([0] * (p - 1 - len(coeffs)))
-    return tuple(coeffs)
+    """Reduce mod 1 + x + ... + x^(p-1) in one pass: x^i folds to x^(i mod p),
+    as x^p = 1, then x^(p-1) = -(1 + x + ... + x^(p-2))."""
+    folded = coeffs[:p] + [0] * (p - len(coeffs))
+    for i in range(p, len(coeffs)):
+        folded[i % p] += coeffs[i]
+    top = folded.pop()
+    return tuple([c - top for c in folded]) if top else tuple(folded)
 
 
 class CycElement:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .factorization import Factorization, factor, is_ring_prime
 from .rings import QuadInt, Ring
 
-ORACLE_NORM_BOUND = 200_000
 PRIMITIVITY_DIVISOR_BUDGET = 10**6
 
 
@@ -95,17 +94,7 @@ def divisor_sum_from_factorization(fac: Factorization) -> QuadInt:
     return total
 
 
-def divisor_sum_oracle(x: QuadInt, max_norm: int = ORACLE_NORM_BOUND) -> QuadInt:
-    if not x:
-        raise ZeroDivisionError("divisor sum of 0 is undefined")
-    if x.norm() > max_norm:
-        raise ValueError(f"norm {x.norm()} exceeds the oracle bound {max_norm}")
-    return divisor_sum_from_factorization(factor(x))
-
-
-def _is_primitive(
-    fac: Factorization, minimal_norm: int, budget: int
-) -> bool:
+def _is_primitive(fac: Factorization, minimal_norm: int) -> bool:
     """No proper, non-associate divisor may itself be norm-perfect.
 
     Walks the divisor lattice multiplicatively over norms only; the full
@@ -114,9 +103,9 @@ def _is_primitive(
     lattice_size = 1
     for _, e in fac.factors:
         lattice_size *= e + 1
-    if lattice_size > budget:
+    if lattice_size > PRIMITIVITY_DIVISOR_BUDGET:
         raise ValueError(
-            f"divisor lattice of size {lattice_size} exceeds budget {budget}"
+            f"divisor lattice of size {lattice_size} exceeds budget {PRIMITIVITY_DIVISOR_BUDGET}"
         )
     # per-prime tables of (norm(pi^j), norm(sigma(pi^j)))
     tables = []
@@ -153,7 +142,6 @@ def classify(
     *,
     factorization: Factorization | None = None,
     sigma: QuadInt | None = None,
-    divisor_budget: int = PRIMITIVITY_DIVISOR_BUDGET,
 ) -> Classification:
     """Classify x exactly.
 
@@ -180,7 +168,7 @@ def classify(
     perfect = sig == x.ring.minimal_prime * x
     primitive: bool | None = None
     if check_primitive and status is Status.NORM_PERFECT:
-        primitive = _is_primitive(fac, c, divisor_budget)
+        primitive = _is_primitive(fac, c)
     return Classification(
         element=x,
         even=x.is_even(),

@@ -18,11 +18,6 @@ from .rational import factor_rational, is_rational_prime
 from .rings import QuadInt, Ring
 from .rings import gcd as ring_gcd
 
-# Above this bound the split-prime search switches from brute force over b
-# to a root-of-unity construction: a residue c with c^2+1=0 (mod q) resp.
-# c^2+c+1=0 (mod q) makes gcd(q, c - theta) a prime of norm q.
-_BRUTE_FORCE_LIMIT = 10**6
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -69,21 +64,15 @@ def is_ring_prime(x: QuadInt) -> bool:
     return False
 
 
-def _sqrt_minus_one(q: int) -> int:
-    """c with c*c = -1 (mod q) for a prime q = 1 (mod 4), deterministically."""
+def _theta_root(q: int, ring: Ring) -> int:
+    """c with N(c - theta) = c^2 + 1 resp. c^2 + c + 1 = 0 (mod the split
+    prime q): d^((q-1)/m), m = 4 resp. 3, for the first d that gives one."""
+    m = 4 if ring is Ring.GAUSSIAN else 3
     for d in range(2, q):
-        if pow(d, (q - 1) // 2, q) == q - 1:
-            return pow(d, (q - 1) // 4, q)
-    raise ArithmeticError(f"no quadratic non-residue found for {q}")
-
-
-def _cube_root_of_unity(q: int) -> int:
-    """c != 1 with c**3 = 1 (mod q) for a prime q = 1 (mod 3), deterministically."""
-    for d in range(2, q):
-        c = pow(d, (q - 1) // 3, q)
-        if c != 1:
+        c = pow(d, (q - 1) // m, q)
+        if QuadInt(ring, c, -1).norm() % q == 0:
             return c
-    raise ArithmeticError(f"no cubic non-residue found for {q}")
+    raise ArithmeticError(f"no root of theta's minimal polynomial mod {q}")
 
 
 @lru_cache(maxsize=None)
@@ -91,41 +80,20 @@ def prime_above(q: int, ring: Ring) -> QuadInt:
     """A sector-canonical prime dividing the rational prime q.
 
     Ramified q gives the minimal prime, inert q gives q itself, and split q
-    gives the representative of least b (found by brute force over
-    0 <= b <= isqrt(q) for desk-scale q, by a modular root of unity and a
-    Euclidean gcd above that).
+    gives whichever of pi = gcd(q, c - theta), c a root of theta's minimal
+    polynomial mod q, and its conjugate has the least b (Cornacchia; Cohen,
+    GTM 138, 1.5).  A q that is not a rational prime raises ValueError.
     """
+    if not is_rational_prime(q):
+        raise ValueError(f"{q} is not a rational prime")
     if ring.is_ramified(q):
         return ring.minimal_prime
     if ring.is_inert(q):
         return QuadInt(ring, q, 0)
-    if ring is Ring.GAUSSIAN:
-        if q <= _BRUTE_FORCE_LIMIT:
-            for b in range(isqrt(q) + 1):
-                a2 = q - b * b
-                a = isqrt(a2)
-                if a * a == a2 and a > 0:
-                    return QuadInt(ring, a, b)
-        else:
-            c = _sqrt_minus_one(q)
-            pi = ring_gcd(QuadInt(ring, q, 0), QuadInt(ring, c, -1))
-            if pi.norm() == q:
-                return pi
-    else:
-        if q <= _BRUTE_FORCE_LIMIT:
-            for b in range(isqrt(q) + 1):
-                disc = 4 * q - 3 * b * b
-                s = isqrt(disc)
-                if s * s == disc and (b + s) % 2 == 0:
-                    a = (b + s) // 2
-                    if a > b:
-                        return QuadInt(ring, a, b)
-        else:
-            c = _cube_root_of_unity(q)
-            pi = ring_gcd(QuadInt(ring, q, 0), QuadInt(ring, c, -1))
-            if pi.norm() == q:
-                return pi
-    raise ArithmeticError(f"failed to find a prime above {q} in {ring}")
+    pi = ring_gcd(QuadInt(ring, q, 0), QuadInt(ring, _theta_root(q, ring), -1))
+    if pi.norm() != q:
+        raise ArithmeticError(f"failed to find a prime above {q} in {ring}")
+    return min(pi, _conjugate_prime(pi), key=lambda x: x.b)
 
 
 def _conjugate_prime(pi: QuadInt) -> QuadInt:

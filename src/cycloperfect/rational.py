@@ -24,6 +24,7 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count, islice
 from math import gcd, isqrt, prod
 
@@ -174,6 +175,12 @@ def is_rational_prime(n: int) -> bool:
         return False
     if n < TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
         return True
+    return _witness_verdict(n)
+
+
+@lru_cache(maxsize=64)
+def _witness_verdict(n: int) -> bool:
+    """Steps 4 to 6 of is_rational_prime; cached, as factor asks twice per prime."""
     if n >= 1 << 64:
         proven = _pocklington(n)
         if proven is not None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from . import cyclotomic as cyc
 from .divisors import (
-    ORACLE_NORM_BOUND,
     Status,
     check_mcdaniel_inequality,
     check_odd_power_divisibility,
@@ -63,7 +62,7 @@ DEFAULTS = {
     "recomposition_norm_bound": 1_000_000,
     "prime_property_norm_bound": 1_000_000,
     "splitting_trichotomy_bound": 10_000,
-    "oracle_norm_bound": ORACLE_NORM_BOUND,
+    "oracle_norm_bound": 200_000,
     "spira_samples": 1_000,
     "spira_max_n": 10,
     "mcdaniel_norm_bound": 10_000,

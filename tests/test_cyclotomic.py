@@ -27,7 +27,32 @@ from cycloperfect.rings import EISENSTEIN, QuadInt
 SMALL_Q = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+def reduce_by_nested_fold(coeffs, p):
+    """The reduction mod 1 + x + ... + x^(p-1) one degree at a time, from the
+    top: x^d with d >= p-1 folds down to -(x^(d-p+1) + ... + x^(d-1))."""
+    coeffs = list(coeffs)
+    for d in range(len(coeffs) - 1, p - 2, -1):
+        c = coeffs[d]
+        if c:
+            coeffs[d] = 0
+            for j in range(d - p + 1, d):
+                coeffs[j] -= c
+    del coeffs[p - 1 :]
+    coeffs.extend([0] * (p - 1 - len(coeffs)))
+    return tuple(coeffs)
+
+
 class TestElements:
+    def test_reduce_matches_nested_fold(self):
+        rng = random.Random(31)
+        for p in SUPPORTED_PRIMES:
+            for length in [*range(3 * p + 1), 200]:
+                for span in (1, 10**30):
+                    coeffs = [rng.randint(-span, span) for _ in range(length)]
+                    assert cyclotomic._reduce(coeffs, p) == reduce_by_nested_fold(
+                        coeffs, p
+                    ), (p, coeffs)
+
     def test_unsupported_p(self):
         with pytest.raises(ValueError):
             CycElement(23, [1])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cycloperfect import divisors
 from cycloperfect.divisors import (
     Status,
     _is_primitive,
@@ -10,7 +11,6 @@ from cycloperfect.divisors import (
     check_spira_inequality,
     classify,
     divisor_sum_from_factorization,
-    divisor_sum_oracle,
     sigma,
     sigma_from_factorization,
 )
@@ -81,21 +81,17 @@ class TestSigma:
 
 class TestDivisorSumOracle:
     def test_prime(self):
-        assert divisor_sum_oracle(e(3, 1)) == e(4, 1)
+        assert divisor_sum_from_factorization(factor(e(3, 1))) == e(4, 1)
 
     def test_gaussian_example(self):
-        assert divisor_sum_oracle(g(2, 1)) == g(3, 1)
+        assert divisor_sum_from_factorization(factor(g(2, 1))) == g(3, 1)
 
     def test_eisenstein_seven(self):
         # (1 + (3+w)) (1 + (3+2w)) = (4+w)(4+2w) = 14 + 10w; norm check:
         # N(4+w) N(4+2w) = 13 * 12 = 156 = N(14+10w)
-        total = divisor_sum_oracle(e(7))
+        total = divisor_sum_from_factorization(factor(e(7)))
         assert total == e(14, 10)
         assert total.norm() == 156
-
-    def test_bound_guard(self):
-        with pytest.raises(ValueError):
-            divisor_sum_oracle(e(10**6), max_norm=1000)
 
     def test_matches_sigma_small_sweep(self):
         from cycloperfect.search import iter_sector
@@ -140,9 +136,10 @@ class TestClassify:
         assert classify(g(2, 1)).primitive is None
         assert classify(e(2, 1), check_primitive=True).primitive is None  # deficient
 
-    def test_primitivity_budget(self):
+    def test_primitivity_budget(self, monkeypatch):
+        monkeypatch.setattr(divisors, "PRIMITIVITY_DIVISOR_BUDGET", 1)
         with pytest.raises(ValueError):
-            classify(g(2, 1), check_primitive=True, divisor_budget=1)
+            classify(g(2, 1), check_primitive=True)
 
     def test_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
@@ -157,9 +154,9 @@ class TestClassify:
     def test_is_primitive_detects_normperfect_divisor(self):
         # any lattice containing the 2+i class has a norm-perfect divisor
         fac = factor(g(2, 1) * g(3, 2))
-        assert _is_primitive(fac, 2, 10**6) is False
+        assert _is_primitive(fac, 2) is False
         fac = factor(g(3, 2))
-        assert _is_primitive(fac, 2, 10**6) is True
+        assert _is_primitive(fac, 2) is True
 
 
 class TestInequalities:

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -18,6 +19,29 @@ def e(a, b=0):
 
 def g(a, b=0):
     return QuadInt(GAUSSIAN, a, b)
+
+
+def least_b_prime_by_search(q, ring):
+    """The sector prime of norm q with least b, trying b = 0, 1, 2, ..."""
+    for b in range(isqrt(q) + 1):
+        if ring is GAUSSIAN:
+            a = isqrt(q - b * b)
+        else:
+            # a^2 - a*b + b^2 = q has the larger root a = (b + sqrt(4q - 3b^2)) / 2
+            a = (b + isqrt(4 * q - 3 * b * b)) // 2
+        x = QuadInt(ring, a, b)
+        if x.norm() == q and x.in_sector():
+            return x
+    return None
+
+
+def split_primes(rng, ring, lo, hi, count):
+    out = []
+    while len(out) < count:
+        q = rng.randrange(lo, hi)
+        if not (ring.is_inert(q) or ring.is_ramified(q)) and is_rational_prime(q):
+            out.append(q)
+    return out
 
 
 class TestIsRingPrime:
@@ -72,6 +96,27 @@ class TestPrimeAbove:
                         pi_bar = _conjugate_prime(pi)
                         assert pi_bar == pi.conjugate().sector_canonical()[1] != pi
             q += 1
+
+    def test_matches_search_below_1e5(self):
+        spf = smallest_prime_factor_sieve(10**5)
+        for ring in Ring:
+            for q in range(2, 10**5):
+                if spf[q] == q and not (ring.is_inert(q) or ring.is_ramified(q)):
+                    assert prime_above(q, ring) == least_b_prime_by_search(q, ring), q
+
+    def test_least_b_above_1e6(self):
+        rng = random.Random(14)
+        for ring in Ring:
+            for q in split_primes(rng, ring, 10**6, 10**12, 150):
+                pi = prime_above(q, ring)
+                assert pi.norm() == q and pi.in_sector()
+                assert pi.b < _conjugate_prime(pi).b, (q, ring)
+
+    @pytest.mark.parametrize("q", [0, 1, 4, 21, 25, 65, 91])
+    def test_non_prime_raises(self, q):
+        for ring in Ring:
+            with pytest.raises(ValueError):
+                prime_above(q, ring)
 
     def test_large_split_prime_gaussian(self):
         q = 2**73 - 2**37 + 1  # prime, 1 mod 4

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cycloperfect.factorization import _cube_root_of_unity, _sqrt_minus_one
+from cycloperfect.factorization import _theta_root
 from cycloperfect.rational import is_rational_prime
 from cycloperfect.rings import (
     EISENSTEIN,
@@ -230,14 +230,13 @@ class TestEuclidean:
                     x = random_element(rng, ring, span)
                     y = random_element(rng, ring, span)
                     pairs += [(x, y), (x, zero), (zero, y), (x * y, y)]
-            root = _sqrt_minus_one if ring is GAUSSIAN else _cube_root_of_unity
             split = 0
             while split < 100:
                 q = rng.randrange(10**6, 10**20)
                 if ring.is_inert(q) or not is_rational_prime(q) or ring.is_ramified(q):
                     continue
                 split += 1
-                x, y = QuadInt(ring, q, 0), QuadInt(ring, root(q), -1)
+                x, y = QuadInt(ring, q, 0), QuadInt(ring, _theta_root(q, ring), -1)
                 assert gcd(x, y).norm() == q
                 pairs += [(x, y), (y, x)]
             for x, y in pairs:

@@ -18,3 +18,11 @@ def test_no_assert_or_debug_in_package():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    import cycloperfect
+
+    missing = [name for name in cycloperfect.__all__ if not hasattr(cycloperfect, name)]
+    assert missing == []
+    assert len(set(cycloperfect.__all__)) == len(cycloperfect.__all__)
