@@ -38,6 +38,7 @@ from .rings import (
     parse_element,
 )
 from .search import (
+    Finding,
     OddFormReport,
     SearchReport,
     check_rational_perfect_remark,
@@ -55,6 +56,7 @@ __all__ = [
     "Classification",
     "EISENSTEIN",
     "Factorization",
+    "Finding",
     "GAUSSIAN",
     "MersenneRecord",
     "OddFormReport",

@@ -94,6 +94,16 @@ def _ring(value: str) -> Ring:
         )
 
 
+def _jobs(value: str) -> int:
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be a positive integer, not {value!r}")
+    return jobs
+
+
 def _residue_set(value: str) -> set[int]:
     try:
         return {int(part) for part in value.split(",") if part.strip() != ""}
@@ -142,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", type=_ring, required=True)
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--residue-filter", type=_residue_set, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_jobs, default=None)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON output (default)")
     fmt.add_argument("--csv", action="store_true")
@@ -153,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_cmd_search, parity=parity, prune=False)
         p.add_argument("--ring", type=_ring, required=True)
         p.add_argument("--max-norm", type=int, required=True)
-        p.add_argument("--jobs", type=int, default=None)
+        p.add_argument("--jobs", type=_jobs, default=None)
         p.add_argument("--progress", action="store_true")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="JSON output (default)")
@@ -196,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run named invariant suites")
     p.set_defaults(func=_cmd_verify)
     p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_jobs, default=None)
     return parser
 
 
@@ -276,10 +286,11 @@ def _cmd_search(args) -> int:
         writer = csv.writer(sys.stdout)
         writer.writerows(report.csv_rows())
         return EXIT_OK
-    obj = report.to_json()
-    obj["config"] = _config_header()
-    table = report.csv_rows() if args.pretty and report.findings else None
-    _emit(obj, args.pretty, table)
+    text = report.json_text(config=_config_header())
+    if args.pretty:
+        _emit(json.loads(text), True, report.csv_rows() if report.findings else None)
+    else:
+        print(text)
     return EXIT_OK
 
 

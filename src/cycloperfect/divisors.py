@@ -141,21 +141,16 @@ def classify(
     check_primitive: bool = False,
     *,
     factorization: Factorization | None = None,
-    sigma: QuadInt | None = None,
 ) -> Classification:
     """Classify x exactly.
 
-    factorization may carry factor(x) precomputed, and sigma may carry
-    sigma(x) precomputed from it: the product of 1 + pi + ... + pi**e over
-    its prime powers.  Both are used as given, so the caller proves them, as
-    sector_scan does: its factorization passes factor's claim check, and it
-    stops unless the sigma norm equals its norm lane's.  Correct inputs
-    change only the cost, never the result.
+    factorization may carry factor(x) precomputed; it is used as given, so
+    a correct one changes only the cost, never the result.
     """
     if not x:
         raise ZeroDivisionError("cannot classify zero")
     fac = factorization if factorization is not None else factor(x)
-    sig = sigma if sigma is not None else sigma_from_factorization(fac)
+    sig = sigma_from_factorization(fac)
     n = x.norm()
     ns = sig.norm()
     c = x.ring.residue_char  # == norm of the minimal prime

@@ -120,50 +120,22 @@ def _peel(x: QuadInt, pi: QuadInt, most: int) -> tuple[QuadInt, int]:
     return x, e
 
 
-def _certify(x: QuadInt, claim) -> Factorization:
-    """The factorization claimed by (prime, exponent, prime**exponent)
-    triples, proven by one exact division that leaves a unit."""
-    rows = [((pi.norm(), pi.a, pi.b), pi, e, power) for pi, e, power in claim]
-    rows.sort(key=lambda row: row[0])
-    product = QuadInt(x.ring, 1, 0)
-    for i, (key, pi, e, power) in enumerate(rows):
-        if e < 1:
-            raise ArithmeticError(f"claimed exponent {e} of {pi} is not positive")
-        if (i and key == rows[i - 1][0]) or not pi.in_sector():
-            raise ArithmeticError(f"claimed prime {pi} is repeated or not canonical")
-        product = product * power if i else power
-    unit = x.exact_divide(product)
-    if unit is None or not unit.is_unit():
-        raise ArithmeticError(f"claimed prime powers do not divide {x} to a unit")
-    return Factorization(unit=unit, factors=tuple((pi, e) for _, pi, e, _ in rows))
-
-
 def factor(
     x: QuadInt,
     *,
     norm_factors: list[tuple[int, int]] | None = None,
     split_lookup: dict[int, QuadInt] | None = None,
-    claim: list[tuple[QuadInt, int, QuadInt]] | None = None,
 ) -> Factorization:
     """Factor a nonzero element into a unit and sector-canonical primes.
 
     norm_factors may carry a precomputed rational factorization of norm(x)
     (e.g. from a sieve during bulk scans); split_lookup may pre-resolve the
     split prime above q.  Neither changes the result, only the cost.
-
-    claim may carry the whole factorization precomputed, as
-    (prime, exponent, prime**exponent) triples whose primes and powers come
-    from a table of sector-canonical primes.  It is checked instead of
-    peeling: the primes must be pairwise distinct and in the sector, every
-    exponent at least 1, and x divided by the product of the powers must
-    leave a unit, which by unique factorization proves the exponents.  A
-    claim that fails raises ArithmeticError; one that passes gives the
-    factorization peeling would, so a claim never changes a result.
+    Each prime is peeled off by exact division, and a cofactor that is not
+    a unit raises ArithmeticError.
     """
     if not x:
         raise ZeroDivisionError("cannot factor zero")
-    if claim is not None:
-        return _certify(x, claim)
     ring = x.ring
     if norm_factors is None:
         norm_factors = list(factor_rational(x.norm()).factors)

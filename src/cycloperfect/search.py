@@ -1,21 +1,24 @@
 """Exhaustive desk-scale searches and theorem-shaped structural validators.
 
 Sector scans enumerate exactly one representative per associate class
-(Gaussian a > 0, b >= 0; Eisenstein a > b >= 0), decide deficiency from
-integers alone (the norm lane, see _norm_lane), and classify and report
-every non-deficient finding exactly.  The region is partitioned into
-strips of the a coordinate; workers are pure classifiers and results merge
-in strip order, so reports are identical no matter how many processes run.
+(Gaussian a > 0, b >= 0; Eisenstein a > b >= 0) and decide deficiency from
+integers alone (the norm lane, see _norm_lane).  Every non-deficient class
+becomes a Finding, a row of integers certified by one exact division and a
+sigma-norm check (_certify), and the report writes its JSON text straight
+from the rows.  The region is partitioned into strips of the a coordinate;
+workers return their rows and the parent sorts them, so reports are
+identical no matter how many processes run.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .divisors import (
-    Classification,
     Status,
     _geometric_sum,
     classify,
@@ -280,27 +283,104 @@ def _norm_lane(a: int, b: int, n: int) -> tuple[int, list[tuple[QuadInt, int, li
     return sn, terms
 
 
-def _claim(ring: Ring, terms: list) -> tuple[list, QuadInt]:
-    """The lane's terms as a claim for factor, (prime, exponent, power)
-    triples with the cached powers, and sigma as the product of the cached
-    sigma(pi**j)."""
-    claim = []
-    sig = QuadInt(ring, 1, 0)
-    for i, (pi, j, powers) in enumerate(terms):
+class Finding(NamedTuple):
+    """A non-deficient class of a sector scan as a row of integers: the
+    class a + b*theta, its sigma sigma_a + sigma_b*theta, both norms and
+    whether sigma equals minimal_prime * x.  The field order makes a plain
+    sort the report order (norm, a, b)."""
+
+    norm: int
+    a: int
+    b: int
+    sigma_a: int
+    sigma_b: int
+    sigma_norm: int
+    perfect: bool
+    ring: Ring
+
+    @property
+    def element(self) -> QuadInt:
+        return QuadInt(self.ring, self.a, self.b)
+
+    @property
+    def sigma(self) -> QuadInt:
+        return QuadInt(self.ring, self.sigma_a, self.sigma_b)
+
+    @property
+    def even(self) -> bool:
+        return (self.a + self.b) % self.ring.residue_char == 0
+
+    @property
+    def status(self) -> Status:
+        target = self.ring.residue_char * self.norm
+        if self.sigma_norm < target:
+            return Status.DEFICIENT
+        if self.sigma_norm == target:
+            return Status.NORM_PERFECT
+        return Status.ABUNDANT
+
+
+def _breach(ring: Ring, a: int, b: int, terms: list, reason: str) -> ScanInvariantError:
+    pairs = [(pi, j) for pi, j, _ in terms]
+    return ScanInvariantError(
+        f"lane exponents {pairs} fail at {QuadInt(ring, a, b)}: {reason}"
+    )
+
+
+def _certify(ring: Ring, a: int, b: int, n: int, sn: int, terms: list) -> Finding:
+    """The finding of x = a + b*theta of norm n, certified from the lane's
+    (prime, exponent, powers) terms and sigma norm sn on integer pairs.
+
+    Every exponent must be at least 1 and the primes pairwise distinct and
+    in the sector.  P, the product of the cached pi**j, must divide x to a
+    unit: x * conj(P) is N(P) times a quotient of norm 1, so by unique
+    factorization the exponents are proven.  sigma, the product of the
+    cached sigma(pi**j), must have norm sn.  A failed check raises
+    ScanInvariantError.  Pairs multiply by theta**2 = -1 - t*theta, with
+    t = 0 (Gaussian) or 1 (Eisenstein).
+    """
+    t = 0 if ring is Ring.GAUSSIAN else 1
+    pa, pb = 1, 0  # P
+    sa, sb = 1, 0  # sigma
+    seen = set()
+    for pi, j, powers in terms:
+        c, d = pi.a, pi.b
+        if j < 1:
+            raise _breach(ring, a, b, terms, f"exponent {j} of {pi} is not positive")
+        if (c, d) in seen or not (c > 0 and d >= 0 if t == 0 else c > d >= 0):
+            raise _breach(ring, a, b, terms, f"prime {pi} is repeated or not canonical")
+        seen.add((c, d))
         _, s, power = _prime_power(pi, powers, j)
-        claim.append((pi, j, power))
-        sig = sig * s if i else s
-    return claim, sig
+        c, d = power.a, power.b
+        bd = pb * d
+        pa, pb = pa * c - bd, pa * d + pb * c - t * bd
+        c, d = s.a, s.b
+        bd = sb * d
+        sa, sb = sa * c - bd, sa * d + sb * c - t * bd
+    # x * conj(P), with conj(c + d*theta) = (c - t*d) - d*theta
+    norm_p = pa * pa - t * pa * pb + pb * pb
+    ua, ra = divmod(a * (pa - t * pb) + b * pb, norm_p)
+    ub, rb = divmod(b * pa - a * pb, norm_p)
+    if ra or rb or ua * ua - t * ua * ub + ub * ub != 1:
+        raise _breach(ring, a, b, terms, "the prime powers do not divide it to a unit")
+    sigma_norm = sa * sa - t * sa * sb + sb * sb
+    if sigma_norm != sn:
+        raise ScanInvariantError(
+            f"lane sigma norm {sn} differs from {sigma_norm} at {QuadInt(ring, a, b)}"
+        )
+    # minimal_prime * x: (1+i)(a+bi) resp. (2+w)(a+bw)
+    perfect = sa == (1 + t) * a - b and sb == a + b
+    return Finding(n, a, b, sa, sb, sigma_norm, perfect, ring)
 
 
-def _classify_chunk(args) -> tuple[int, int, list[Classification]]:
+def _classify_chunk(args) -> tuple[int, int, list[Finding]]:
     chunk, parity, prune = args
     ring, bound = _CTX["ring"], _CTX["bound"]
     char = ring.residue_char
     allowed = NORM_PERFECT_K_RESIDUES[ring]
     scanned = 0
     pruned = 0
-    findings: list[Classification] = []
+    findings: list[Finding] = []
     for a in range(*chunk):
         for b, n in strip_points(ring, bound, a):
             even = (a + b) % char == 0
@@ -323,24 +403,7 @@ def _classify_chunk(args) -> tuple[int, int, list[Classification]]:
             sn, terms = _norm_lane(a, b, n)
             if sn < char * n:
                 continue
-            # a finding certifies the lane: factor proves its exponents with
-            # one division by the cached prime powers, and the sigma built
-            # from the cached sigma(pi**j) must have the lane's norm
-            x = QuadInt(ring, a, b)
-            claim, sig = _claim(ring, terms)
-            try:
-                fac = factor(x, claim=claim)
-            except ArithmeticError as exc:
-                pairs = [(pi, j) for pi, j, _ in terms]
-                raise ScanInvariantError(
-                    f"lane exponents {pairs} fail at {x}: {exc}"
-                ) from None
-            cls = classify(x, factorization=fac, sigma=sig)
-            if cls.sigma_norm != sn:
-                raise ScanInvariantError(
-                    f"lane sigma norm {sn} differs from {cls.sigma_norm} at {x}"
-                )
-            findings.append(cls)
+            findings.append(_certify(ring, a, b, n, sn, terms))
     return scanned, pruned, findings
 
 
@@ -386,12 +449,15 @@ def sector_primes(ring: Ring, bound: int) -> list[QuadInt]:
     return primes
 
 
-def perfect_unit(c: Classification) -> QuadInt | None:
-    """The unit u for which u*c.element is perfect, for a norm-perfect
+def perfect_unit(f: Finding) -> QuadInt | None:
+    """The unit u for which u*f.element is perfect, for a norm-perfect
     finding whose associate class holds a perfect element; else None."""
-    if c.status is not Status.NORM_PERFECT:
+    if f.status is not Status.NORM_PERFECT:
         return None
-    return perfect_associate_unit(c.element, c.sigma)
+    return perfect_associate_unit(f.element, f.sigma)
+
+
+_JSON_BOOL = ("false", "true")
 
 
 @dataclass(frozen=True)
@@ -401,27 +467,54 @@ class SearchReport:
     parity: str
     scanned: int
     pruned: int
-    findings: tuple[Classification, ...]
+    findings: tuple[Finding, ...]
     wall_time: float
 
-    def to_json(self) -> dict:
-        return {
+    def json_text(self, **extra) -> str:
+        """The report as json.dumps({**self.to_json(), **extra},
+        sort_keys=True) writes it, built from the rows: json.dumps writes
+        each scalar key, one format string each finding."""
+        head = {
             "ring": self.ring.value,
             "norm_bound": self.norm_bound,
             "parity": self.parity,
             "scanned": self.scanned,
             "pruned": self.pruned,
-            "findings": [
-                {
-                    **f.to_json(),
-                    "perfect_unit": (
-                        u.to_json() if (u := perfect_unit(f)) is not None else None
-                    ),
-                }
-                for f in self.findings
-            ],
             "wall_time": self.wall_time,
+            **extra,
         }
+        items = {
+            key: f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+            for key, value in sorted(head.items())
+        }
+        before = "".join(text + ", " for key, text in items.items() if key < "findings")
+        after = "".join(", " + text for key, text in items.items() if key > "findings")
+        name = self.ring.value
+        char = self.ring.residue_char
+        rows = []
+        for f in self.findings:
+            norm, a, b, sa, sb, sn, perfect, _ = f
+            # Finding.status inline: the property costs more than the row's text
+            unit = "null"
+            if sn == char * norm:
+                status = "norm_perfect"
+                if (u := perfect_unit(f)) is not None:
+                    unit = f'{{"a": "{u.a}", "b": "{u.b}", "ring": "{name}"}}'
+            else:
+                status = "abundant" if sn > char * norm else "deficient"
+            rows.append(
+                f'{{"element": {{"a": "{a}", "b": "{b}", "ring": "{name}"}}, '
+                f'"even": {_JSON_BOOL[(a + b) % char == 0]}, "norm": "{norm}", '
+                f'"perfect": {_JSON_BOOL[perfect]}, "perfect_unit": {unit}, '
+                f'"primitive": null, "sigma": {{"a": "{sa}", "b": "{sb}", "ring": "{name}"}}, '
+                f'"sigma_norm": "{sn}", "status": "{status}"}}'
+            )
+        # one copy of the findings text, then one of the whole: each copy of
+        # a large report adds its size to the peak
+        return f'{{{before}"findings": [{", ".join(rows)}]{after}}}'
+
+    def to_json(self) -> dict:
+        return json.loads(self.json_text())
 
     def csv_rows(self) -> list[list[str]]:
         rows = [
@@ -468,12 +561,14 @@ def sector_scan(
     """
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"unknown parity filter {parity!r}")
+    if norm_bound < 0:
+        raise ValueError(f"norm bound {norm_bound} is negative")
     if norm_bound > DEFAULT_SCAN_LIMIT:
         raise ValueError(f"norm bound {norm_bound} exceeds the limit {DEFAULT_SCAN_LIMIT}")
     t0 = time.monotonic()
     _build_context(ring, norm_bound)
     scanned = pruned = 0
-    findings: list[Classification] = []
+    findings: list[Finding] = []
     work = [(c, parity, prune) for c in _chunks(ring, norm_bound)]
     for s, p, fs in run_chunks(_classify_chunk, work, jobs):
         scanned += s
@@ -481,7 +576,7 @@ def sector_scan(
         findings.extend(fs)
         if progress_cb is not None:
             progress_cb(scanned)
-    findings.sort(key=lambda c: (c.norm, c.element.a, c.element.b))
+    findings.sort()
     return SearchReport(
         ring=ring,
         norm_bound=norm_bound,
@@ -496,6 +591,8 @@ def sector_scan(
 def find_normperfect_primes(ring: Ring, norm_bound: int) -> list[QuadInt]:
     """All sector-canonical primes psi with norm <= bound and
     norm(sigma(psi)) = norm(minimal) * norm(psi)."""
+    if norm_bound < 0:
+        raise ValueError(f"norm bound {norm_bound} is negative")
     if norm_bound > PRIME_SEARCH_LIMIT:
         raise ValueError(f"norm bound {norm_bound} exceeds the limit {PRIME_SEARCH_LIMIT}")
     char = ring.residue_char

@@ -139,6 +139,12 @@ class TestSearchCommands:
         assert obj["count"] == 1
         assert obj["primes"] == [{"ring": "gaussian", "a": "2", "b": "1"}]
 
+    @pytest.mark.parametrize("command", ["search-odd", "search-even", "find-normperfect-primes"])
+    def test_negative_bound_is_a_domain_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--ring", "gaussian", "--max-norm=-5")
+        assert code == EXIT_DOMAIN_ERROR
+        assert (out, err) == ("", "domain error: norm bound -5 is negative\n")
+
     def test_progress_lines(self, capsys):
         code, _out, err = run(
             capsys,
@@ -258,3 +264,23 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
         assert exc.value.code == EXIT_PARSE_ERROR
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mersenne", "--ring", "eisenstein", "--max-k", "12"],
+        ["search-odd", "--ring", "gaussian", "--max-norm", "30"],
+        ["search-even", "--ring", "eisenstein", "--max-norm", "30"],
+        ["verify", "cyclo"],
+    ],
+    ids=["mersenne", "search-odd", "search-even", "verify"],
+)
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_must_be_a_positive_integer(capsys, argv, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", jobs])
+    assert exc.value.code == EXIT_PARSE_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument --jobs: jobs must be a positive integer, not '{jobs}'\n")

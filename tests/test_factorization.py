@@ -3,6 +3,8 @@ from math import isqrt
 
 import pytest
 
+from cycloperfect import search
+from cycloperfect.divisors import classify, sigma_from_factorization
 from cycloperfect.factorization import (
     _conjugate_prime,
     factor,
@@ -11,6 +13,7 @@ from cycloperfect.factorization import (
 )
 from cycloperfect.rational import is_rational_prime, smallest_prime_factor_sieve
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
+from cycloperfect.search import ScanInvariantError
 
 
 def e(a, b=0):
@@ -229,29 +232,43 @@ def test_wrong_norm_factors_raise(x, norm_factors, kind):
 
 
 
+def _powers(ring):
+    """A fresh cache of prime powers, as the scan context starts each one."""
+    one = QuadInt(ring, 1, 0)
+    return [(1, one, one)]
+
+
 def _claim(fac):
-    return [(p, k, p**k) for p, k in fac.factors]
+    """fac's (prime, exponent) pairs as the norm lane's terms."""
+    return [(p, k, _powers(p.ring)) for p, k in fac.factors]
+
+
+def _certify(x, claim):
+    """The scan's finding certificate of x on the claimed terms, with the
+    true sigma norm."""
+    sn = sigma_from_factorization(factor(x)).norm()
+    return search._certify(x.ring, x.a, x.b, x.norm(), sn, claim)
 
 
 def _shifted(claim):
     # (1+i)^5 does not divide x
     bump = {g(1, 1): 1}
-    return [(p, k + bump.get(p, 0), p ** (k + bump.get(p, 0))) for p, k, _ in claim]
+    return [(p, k + bump.get(p, 0), powers) for p, k, powers in claim]
 
 
 def _swapped(claim):
     # (1+2i)^3 (2+i)^2 has the norm of (2+i)^3 (1+2i)^2 but does not divide x
     swap = {g(2, 1): g(1, 2), g(1, 2): g(2, 1)}
-    return [(swap.get(p, p), k, swap.get(p, p) ** k) for p, k, _ in claim]
+    return [(swap.get(p, p), k, _powers(GAUSSIAN)) for p, k, _ in claim]
 
 
 def _repeated(claim):
     # (2+i) * (2+i) divides x, but is one prime claimed twice
-    return claim + [(g(2, 1), 1, g(2, 1))]
+    return claim + [(g(2, 1), 1, _powers(GAUSSIAN))]
 
 
 def _zero(claim):
-    return claim + [(g(4, 1), 0, g(1))]
+    return claim + [(g(4, 1), 0, _powers(GAUSSIAN))]
 
 
 def _cofactor(claim):
@@ -269,13 +286,21 @@ class TestClaim:
     X = g(2, 1) ** 3 * g(1, 2) ** 2 * g(3) * g(1, 1) ** 4
 
     def test_a_true_claim_gives_the_peeled_factorization(self):
+        # the certificate accepts peeling's factorization in any order and
+        # builds the sigma that classify builds from it
         rng = random.Random(53)
         for ring in Ring:
             for _ in range(300):
                 x = QuadInt(ring, rng.randint(-300, 300), rng.randint(-300, 300))
                 if x:
                     fac = factor(x)
-                    assert factor(x, claim=_claim(fac)[::-1]) == fac, x
+                    f = _certify(x, _claim(fac)[::-1])
+                    cls = classify(x, factorization=fac)
+                    assert (f.sigma, f.sigma_norm, f.perfect) == (
+                        cls.sigma,
+                        cls.sigma_norm,
+                        cls.perfect,
+                    ), x
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -291,6 +316,6 @@ class TestClaim:
     )
     def test_a_wrong_claim_raises(self, edit, message):
         claim = _claim(factor(self.X))
-        assert factor(self.X, claim=claim).recompose() == self.X
-        with pytest.raises(ArithmeticError, match=message):
-            factor(self.X, claim=edit(claim))
+        assert _certify(self.X, claim).element == self.X
+        with pytest.raises(ScanInvariantError, match=message):
+            _certify(self.X, edit(claim))

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import os
 import random
 import signal
@@ -5,7 +8,7 @@ from math import isqrt
 
 import pytest
 
-from cycloperfect import search
+from cycloperfect import cli, search
 from cycloperfect.divisors import (
     Status,
     _geometric_sum,
@@ -18,6 +21,7 @@ from cycloperfect.factorization import Factorization, factor, is_ring_prime
 from cycloperfect.mersenne import NORM_PERFECT_K_RESIDUES, candidate_factorization
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
 from cycloperfect.search import (
+    Finding,
     ScanInvariantError,
     SearchReport,
     check_rational_perfect_remark,
@@ -41,6 +45,12 @@ def e(a, b=0):
 
 def g(a, b=0):
     return QuadInt(GAUSSIAN, a, b)
+
+
+def _finding(cls):
+    """The scan's row for a Classification."""
+    x, sig = cls.element, cls.sigma
+    return Finding(cls.norm, x.a, x.b, sig.a, sig.b, cls.sigma_norm, cls.perfect, x.ring)
 
 
 class TestEnumeration:
@@ -86,6 +96,16 @@ class TestSectorScan:
         with pytest.raises(ValueError):
             sector_scan(EISENSTEIN, 10**7, jobs=1)
 
+    def test_negative_bound(self):
+        for ring in Ring:
+            with pytest.raises(ValueError, match="^norm bound -5 is negative$"):
+                sector_scan(ring, -5, jobs=1)
+            with pytest.raises(ValueError, match="^norm bound -5 is negative$"):
+                find_normperfect_primes(ring, -5)
+            empty = sector_scan(ring, 0, jobs=1)
+            assert (empty.scanned, empty.findings) == (0, ())
+            assert find_normperfect_primes(ring, 0) == []
+
     def test_parity_filters(self):
         all_r = sector_scan(EISENSTEIN, 300, parity="all", jobs=1)
         odd_r = sector_scan(EISENSTEIN, 300, parity="odd", jobs=1)
@@ -98,7 +118,13 @@ class TestSectorScan:
         assert report.findings
         for f in report.findings:
             again = classify(f.element)
-            assert again == f
+            assert f == _finding(again)
+            assert (f.element, f.sigma, f.status, f.even) == (
+                again.element,
+                again.sigma,
+                again.status,
+                again.even,
+            )
 
     def test_parallel_matches_serial(self):
         serial = sector_scan(EISENSTEIN, 3_000, jobs=1)
@@ -141,7 +167,7 @@ class TestSectorScan:
             parity="all",
             scanned=1,
             pruned=0,
-            findings=(cls,),
+            findings=(_finding(cls),),
             wall_time=0.0,
         )
         want = {**cls.to_json(), "perfect_unit": (-i).to_json()}
@@ -201,17 +227,17 @@ class TestNormLane:
                 assert sn == sigma_from_factorization(fac).norm(), (a, b)
 
     def test_claimed_factor_matches_peeling(self):
-        # every class up to 2*10^4: the lane's claim, certified by one
-        # division, gives peeling's factorization, and its sigma is sigma
+        # every class up to 2*10^4: the lane's terms pass the finding
+        # certificate, and its row, sigma pair included, is the one that
+        # classify builds from peeling's factorization
         bound = 20_000
         for ring in Ring:
             search._build_context(ring, bound)
             for a, b, n in iter_sector(ring, bound):
-                x = QuadInt(ring, a, b)
-                claim, sig = search._claim(ring, search._norm_lane(a, b, n)[1])
+                sn, terms = search._norm_lane(a, b, n)
+                f = search._certify(ring, a, b, n, sn, terms)
                 fac = search._factor_point(ring, a, b, n)
-                assert factor(x, claim=claim) == fac, x
-                assert sig == sigma_from_factorization(fac), x
+                assert f == _finding(classify(QuadInt(ring, a, b), factorization=fac)), (a, b)
 
     def test_cached_prime_powers(self):
         # after the lane has run over every class up to 2*10^4, every cached
@@ -268,10 +294,14 @@ class TestNormLane:
             sector_scan(GAUSSIAN, 100, jobs=1)
 
 
+_CSV_HEADER = ["element", "norm", "status", "even", "perfect", "sigma_norm", "perfect_unit"]
+
+
 def _reference_scan(classes, parity, prune):
-    """(scanned, pruned, findings JSON) from factor + classify per class."""
+    """(scanned, pruned, findings JSON, CSV rows) from factor + classify per
+    class."""
     scanned = pruned = 0
-    findings = []
+    rows = []
     for x, fac, cls in classes:
         ring = x.ring
         if (parity == "odd" and cls.even) or (parity == "even" and not cls.even):
@@ -287,17 +317,30 @@ def _reference_scan(classes, parity, prune):
         unit = None
         if cls.status is Status.NORM_PERFECT:
             unit = perfect_associate_unit(x, cls.sigma)
-        findings.append(
-            {**cls.to_json(), "perfect_unit": unit.to_json() if unit else None}
-        )
-    findings.sort(
-        key=lambda f: (int(f["norm"]), int(f["element"]["a"]), int(f["element"]["b"]))
+        finding = {**cls.to_json(), "perfect_unit": unit.to_json() if unit else None}
+        csv_row = [
+            str(x),
+            str(cls.norm),
+            cls.status.value,
+            str(cls.even).lower(),
+            str(cls.perfect).lower(),
+            str(cls.sigma_norm),
+            str(unit) if unit else "",
+        ]
+        rows.append(((cls.norm, x.a, x.b), finding, csv_row))
+    rows.sort(key=lambda row: row[0])
+    return scanned, pruned, [row[1] for row in rows], [row[2] for row in rows]
+
+
+def _table_text(table):
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "\n" for row in table
     )
-    return scanned, pruned, findings
 
 
 @pytest.mark.parametrize("ring", list(Ring))
-def test_scan_matches_peel_reference(ring, monkeypatch):
+def test_scan_matches_peel_reference(ring, monkeypatch, capsys):
     # small chunks so that the pool runs and merges many of them
     monkeypatch.setattr(search, "_CHUNK_TARGET_POINTS", 400)
     bound = 2_500
@@ -308,12 +351,43 @@ def test_scan_matches_peel_reference(ring, monkeypatch):
         classes.append((x, fac, classify(x, factorization=fac)))
     for parity in ("all", "odd", "even"):
         for prune in (False, True):
-            want = _reference_scan(classes, parity, prune)
+            scanned, pruned, findings, csv_rows = _reference_scan(classes, parity, prune)
+            want = {
+                "ring": ring.value,
+                "norm_bound": bound,
+                "parity": parity,
+                "scanned": scanned,
+                "pruned": pruned,
+                "findings": findings,
+            }
             for jobs in (1, 2):
+                mode = (parity, prune, jobs)
                 report = sector_scan(ring, bound, parity=parity, jobs=jobs, prune=prune)
-                obj = report.to_json()
-                got = (obj["scanned"], obj["pruned"], obj["findings"])
-                assert got == want, (parity, prune, jobs)
+                got = report.to_json()
+                assert got == {**want, "wall_time": report.wall_time}, mode
+                if parity == "all" or (parity == "odd" and prune):
+                    continue  # no CLI command scans these
+                argv = [f"search-{parity}", "--ring", ring.value, "--max-norm", str(bound)]
+                argv += ["--jobs", str(jobs)] + (["--prune"] if prune else [])
+                # the report text is json.dumps of the reference, wall_time
+                # taken from the output
+                assert cli.main(argv) == 0
+                out = capsys.readouterr().out
+                doc = {
+                    **want,
+                    "wall_time": json.loads(out)["wall_time"],
+                    "config": cli._config_header(),
+                }
+                assert out == json.dumps(doc, sort_keys=True) + "\n", mode
+                assert cli.main(["--pretty", *argv]) == 0
+                out = capsys.readouterr().out
+                doc["wall_time"] = json.JSONDecoder().raw_decode(out)[0]["wall_time"]
+                table = _table_text([_CSV_HEADER, *csv_rows]) if csv_rows else ""
+                assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n" + table, mode
+                assert cli.main([*argv, "--csv"]) == 0
+                text = io.StringIO()
+                csv.writer(text).writerows([_CSV_HEADER, *csv_rows])
+                assert capsys.readouterr().out == text.getvalue(), mode
 
 
 def _sigterm_probe(args):
