@@ -312,12 +312,18 @@ class Finding(NamedTuple):
 
     @property
     def status(self) -> Status:
-        target = self.ring.residue_char * self.norm
-        if self.sigma_norm < target:
-            return Status.DEFICIENT
-        if self.sigma_norm == target:
-            return Status.NORM_PERFECT
-        return Status.ABUNDANT
+        return _status(self.ring.residue_char, self.norm, self.sigma_norm)
+
+
+def _status(char: int, norm: int, sigma_norm: int) -> Status:
+    """The class's status from its norm, the residue characteristic (the
+    norm of the minimal prime) and the norm of its sigma."""
+    target = char * norm
+    if sigma_norm < target:
+        return Status.DEFICIENT
+    if sigma_norm == target:
+        return Status.NORM_PERFECT
+    return Status.ABUNDANT
 
 
 def _breach(ring: Ring, a: int, b: int, terms: list, reason: str) -> ScanInvariantError:
@@ -494,20 +500,16 @@ class SearchReport:
         rows = []
         for f in self.findings:
             norm, a, b, sa, sb, sn, perfect, _ = f
-            # Finding.status inline: the property costs more than the row's text
+            status = _status(char, norm, sn)
             unit = "null"
-            if sn == char * norm:
-                status = "norm_perfect"
-                if (u := perfect_unit(f)) is not None:
-                    unit = f'{{"a": "{u.a}", "b": "{u.b}", "ring": "{name}"}}'
-            else:
-                status = "abundant" if sn > char * norm else "deficient"
+            if status is Status.NORM_PERFECT and (u := perfect_unit(f)) is not None:
+                unit = f'{{"a": "{u.a}", "b": "{u.b}", "ring": "{name}"}}'
             rows.append(
                 f'{{"element": {{"a": "{a}", "b": "{b}", "ring": "{name}"}}, '
                 f'"even": {_JSON_BOOL[(a + b) % char == 0]}, "norm": "{norm}", '
                 f'"perfect": {_JSON_BOOL[perfect]}, "perfect_unit": {unit}, '
                 f'"primitive": null, "sigma": {{"a": "{sa}", "b": "{sb}", "ring": "{name}"}}, '
-                f'"sigma_norm": "{sn}", "status": "{status}"}}'
+                f'"sigma_norm": "{sn}", "status": "{status.value}"}}'
             )
         # one copy of the findings text, then one of the whole: each copy of
         # a large report adds its size to the peak
