@@ -1,11 +1,10 @@
 """Unique factorization of Gaussian/Eisenstein integers into positive primes.
 
 Every nonzero element splits as unit * prod(pi**e) where each pi is the
-sector representative of its associate class.  The rational prime below
-each pi is handled by splitting type: ramified primes peel the minimal
-prime, inert primes peel the rational prime itself, and split primes peel
-the two conjugate representatives in lexicographic (a, b) order so the
-output is reproducible.
+sector representative of its associate class.  factor reads the exponents
+off the norm's rational factorization, one rule per splitting type (for
+split primes _split_exponents, which the scans' norm lane shares), and
+proves them by one exact division to a unit.
 """
 
 from __future__ import annotations
@@ -107,17 +106,23 @@ def _conjugate_prime(pi: QuadInt) -> QuadInt:
     return QuadInt(pi.ring, pi.a, pi.a - pi.b)
 
 
-def _peel(x: QuadInt, pi: QuadInt, most: int) -> tuple[QuadInt, int]:
-    """Divide out pi as often as it goes, at most `most` times; returns
-    (cofactor, multiplicity)."""
-    e = 0
-    while e < most:
-        d = x.exact_divide(pi)
-        if d is None:
-            break
-        x = d
-        e += 1
-    return x, e
+def _split_exponents(a: int, b: int, q: int, e: int, t: int) -> tuple[int, int]:
+    """The exponents (j, j_bar) of pi and pi_bar in x = a + b*theta, for a
+    split q of exponent e in N(x) and t = -a_pi / b_pi (mod q), the image of
+    theta in Z[theta]/pi.  Both take k, the exponent of q in gcd(a, b); the
+    other e - 2k go to pi when a' + b'*t = 0 (mod q) for the content-free
+    a', b', else to pi_bar.  Content beyond q**e raises ArithmeticError."""
+    k = 0
+    while a % q == 0 and b % q == 0:
+        a //= q
+        b //= q
+        k += 1
+    rest = e - 2 * k
+    if rest < 0:
+        raise ArithmeticError(f"content {q}^{k} exceeds {q}^{e}")
+    if (a + b * t) % q:
+        return k, k + rest
+    return k + rest, k
 
 
 def factor(
@@ -131,46 +136,41 @@ def factor(
     norm_factors may carry a precomputed rational factorization of norm(x)
     (e.g. from a sieve during bulk scans); split_lookup may pre-resolve the
     split prime above q.  Neither changes the result, only the cost.
-    Each prime is peeled off by exact division, and a cofactor that is not
-    a unit raises ArithmeticError.
+    For q of exponent e in the norm, the ramified prime takes e, an inert q
+    e/2, and a split q's two primes share e by _split_exponents.  The
+    product of the prime powers must divide x to a unit, or ArithmeticError
+    is raised.
     """
     if not x:
         raise ZeroDivisionError("cannot factor zero")
     ring = x.ring
     if norm_factors is None:
         norm_factors = list(factor_rational(x.norm()).factors)
-    rem = x
     out: list[tuple[QuadInt, int]] = []
     for q, e in norm_factors:
         if ring.is_ramified(q):
-            # the one prime above q has norm q, so it takes all of q's exponent
-            d = rem.exact_divide(ring.minimal_prime**e)
-            if d is None:
-                raise ArithmeticError(f"ramified peel mismatch at {q} in {x}")
-            rem = d
             out.append((ring.minimal_prime, e))
         elif ring.is_inert(q):
             # q stays prime, of norm q^2, so it takes half of q's exponent
-            d = rem.exact_divide(q ** (e // 2)) if e % 2 == 0 else None
-            if d is None:
-                raise ArithmeticError(f"inert peel mismatch at {q} in {x}")
-            rem = d
+            if e % 2:
+                raise ArithmeticError(f"inert {q} has the odd exponent {e} in N({x})")
             out.append((QuadInt(ring, q, 0), e // 2))
         else:
             pi = split_lookup.get(q) if split_lookup else None
             if pi is None:
                 pi = prime_above(q, ring)
-            rem, k = _peel(rem, pi, e)
-            if k:
-                out.append((pi, k))
-            if k < e:
-                # the conjugate prime takes the rest of q's exponent
-                pi_bar = _conjugate_prime(pi)
-                rem, k_bar = _peel(rem, pi_bar, e - k)
-                if k + k_bar != e:
-                    raise ArithmeticError(f"split peel mismatch at {q} in {x}")
-                out.append((pi_bar, k_bar))
-    if not rem.is_unit():
-        raise ArithmeticError(f"non-unit cofactor {rem} left after peeling {x}")
+            t = -pi.a * pow(pi.b, -1, q) % q
+            j, j_bar = _split_exponents(x.a, x.b, q, e, t)
+            if j:
+                out.append((pi, j))
+            if j_bar:
+                out.append((_conjugate_prime(pi), j_bar))
+    product = ring.units[0]
+    for p, k in out:
+        for _ in range(k):
+            product = product * p
+    unit = x.exact_divide(product)
+    if unit is None or not unit.is_unit():
+        raise ArithmeticError(f"the prime powers {out} do not divide {x} to a unit")
     out.sort(key=lambda f: (f[0].norm(), f[0].a, f[0].b))
-    return Factorization(unit=rem, factors=tuple(out))
+    return Factorization(unit=unit, factors=tuple(out))

@@ -25,9 +25,12 @@ def run_chunks(fn, work, jobs):
     """Yield fn(item) for each item of work, in order.
 
     jobs=None uses every CPU; one job, or at most one item, runs in-process.
+    A jobs below 1 raises ValueError.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     if jobs <= 1 or len(work) <= 1:
         for item in work:
             yield fn(item)

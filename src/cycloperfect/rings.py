@@ -237,27 +237,7 @@ class QuadInt:
         units = self.ring.units
         return units[-k], self * units[k]
 
-    # -- Euclidean structure --------------------------------------------------
-
-    def __divmod__(self, other) -> tuple["QuadInt", "QuadInt"]:
-        """Division with norm(r) < norm(y), rounding the exact quotient to
-        the nearest lattice point (ties toward zero)."""
-        y = self._coerce(other)
-        if y is NotImplemented:
-            return NotImplemented
-        n = y.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        p = self * y.conjugate()
-        q = QuadInt(self.ring, _round_nearest(p.a, n), _round_nearest(p.b, n))
-        r = self - q * y
-        return q, r
-
-    def __floordiv__(self, other) -> "QuadInt":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "QuadInt":
-        return divmod(self, other)[1]
+    # -- exact division ------------------------------------------------------
 
     def exact_divide(self, other) -> "QuadInt | None":
         """self / other when other divides self exactly, else None."""
@@ -318,13 +298,28 @@ _MINIMAL = {
 }
 
 
+def _divrem(a: int, b: int, c: int, d: int, gaussian: bool) -> tuple[int, int, int, int]:
+    """One Euclidean step on coordinate pairs: (qa, qb, ra, rb) with a + b*theta
+    = q * (c + d*theta) + r and N(r) < N(c + d*theta), q being the exact
+    quotient rounded by _round_nearest.  A zero divisor raises ZeroDivisionError."""
+    n = c * c + d * d if gaussian else c * c - c * d + d * d
+    # (a + b*theta) * conj(c + d*theta) = pa + pb*theta
+    pa = a * c + b * d if gaussian else a * (c - d) + b * d
+    pb = b * c - a * d
+    qa, qb = _round_nearest(pa, n), _round_nearest(pb, n)
+    # the remainder (a + b*theta) - (qa + qb*theta) * (c + d*theta)
+    ra = a - qa * c + qb * d
+    rb = b - qa * d - qb * c
+    if not gaussian:
+        rb += qb * d
+    return qa, qb, ra, rb
+
+
 def gcd(x: QuadInt, y: QuadInt) -> QuadInt:
     """A greatest common divisor, returned as the sector representative.
 
-    Euclid's algorithm with the remainders of ``x % y``: the quotient is
-    x * conj(y) / N(y) rounded by _round_nearest.  The steps run on
-    coordinate pairs (a, b) and (c, d) rather than on QuadInt values, so
-    one QuadInt is built, for the last nonzero remainder.
+    Euclid's algorithm by _divrem steps on coordinate pairs, so one QuadInt
+    is built, for the last nonzero remainder.
     """
     ring = x.ring
     if ring is not y.ring:
@@ -334,16 +329,7 @@ def gcd(x: QuadInt, y: QuadInt) -> QuadInt:
     a, b, c, d = x.a, x.b, y.a, y.b
     gaussian = ring is Ring.GAUSSIAN
     while c or d:
-        n = c * c + d * d if gaussian else c * c - c * d + d * d
-        # (a + b*theta) * conj(c + d*theta) = pa + pb*theta
-        pa = a * c + b * d if gaussian else a * (c - d) + b * d
-        pb = b * c - a * d
-        qa, qb = _round_nearest(pa, n), _round_nearest(pb, n)
-        # the remainder (a + b*theta) - (qa + qb*theta) * (c + d*theta)
-        ra = a - qa * c + qb * d
-        rb = b - qa * d - qb * c
-        if not gaussian:
-            rb += qb * d
+        _, _, ra, rb = _divrem(a, b, c, d, gaussian)
         a, b, c, d = c, d, ra, rb
     return QuadInt(ring, a, b).sector_canonical()[1]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import NamedTuple
 
 from .divisors import (
@@ -26,7 +26,7 @@ from .divisors import (
     perfect_associate_unit,
     sigma_from_factorization,
 )
-from .factorization import Factorization, factor
+from .factorization import Factorization, _split_exponents, factor
 from .mersenne import NORM_PERFECT_K_RESIDUES
 from .parallel import run_chunks
 from .rational import (
@@ -192,25 +192,19 @@ def _chunks(ring: Ring, bound: int) -> list[tuple[int, int]]:
     return chunks
 
 
-def _factor_point(ring: Ring, a: int, b: int, n: int) -> Factorization:
-    return factor(
-        QuadInt(ring, a, b),
-        norm_factors=factor_with_sieve(n, _CTX["spf"]),
-        split_lookup=_CTX["split_pi"],
-    )
-
-
 def _sweep_chunk(args) -> tuple[int, list[list]]:
     """Factor each point of the chunk and collect the non-empty results of
     check(x, fac, n), one list per failing point, stopping once more than
     _MAX_FAILURES are held."""
     chunk, check = args
-    ring, bound = _CTX["ring"], _CTX["bound"]
+    ring, bound, spf, split_pi = _CTX["ring"], _CTX["bound"], _CTX["spf"], _CTX["split_pi"]
     checked = held = 0
     failures: list[list] = []
     for a in range(*chunk):
         for b, n in strip_points(ring, bound, a):
-            found = check(QuadInt(ring, a, b), _factor_point(ring, a, b, n), n)
+            x = QuadInt(ring, a, b)
+            fac = factor(x, norm_factors=factor_with_sieve(n, spf), split_lookup=split_pi)
+            found = check(x, fac, n)
             checked += 1
             if found:
                 failures.append(found)
@@ -242,13 +236,11 @@ def _norm_lane(a: int, b: int, n: int) -> tuple[int, list[tuple[QuadInt, int, li
 
     Integer arithmetic only: the exponents come from the sieve factorization
     of the norm n.  A ramified prime takes the exponent of q, an inert one
-    half of it.  For a split q of exponent e, both conjugates take the
-    exponent k of q in gcd(a, b); after dividing that content out, the other
-    e - 2k go to pi when a' + b'*t = 0 (mod q) and to pi_bar otherwise.
-    Terms come in no particular order and omit zero exponents.
+    half of it, and a split q's pi and pi_bar share it by
+    factorization._split_exponents, the rule factor() uses.  Terms come in
+    no particular order and omit zero exponents.
     """
     split, whole = _CTX["split"], _CTX["whole"]
-    g = gcd(a, b)
     sn = 1
     terms: list[tuple[QuadInt, int, list]] = []
     for q, e in factor_with_sieve(n, _CTX["spf"]):
@@ -261,19 +253,10 @@ def _norm_lane(a: int, b: int, n: int) -> tuple[int, list[tuple[QuadInt, int, li
             terms.append((pi, e // d, powers))
             continue
         pi, pi_bar, t, powers, bar_powers = s
-        k = 0
-        qk = 1
-        while g % q == 0:
-            g //= q
-            k += 1
-            qk *= q
-        rest = e - 2 * k
-        if rest < 0:
-            raise ScanInvariantError(f"content {q}^{k} exceeds norm {n}")
-        if (a // qk + b // qk * t) % q == 0:
-            j, j_bar = k + rest, k
-        else:
-            j, j_bar = k, k + rest
+        try:
+            j, j_bar = _split_exponents(a, b, q, e, t)
+        except ArithmeticError as err:
+            raise ScanInvariantError(f"{err} in norm {n}") from err
         if j:
             sn *= _prime_power(pi, powers, j)[0]
             terms.append((pi, j, powers))

@@ -37,7 +37,7 @@ from .rational import (
     TRIAL_DIVISION_BOUND,
     is_rational_prime,
 )
-from .rings import QuadInt, Ring, gcd, parse_element
+from .rings import QuadInt, Ring, _divrem, gcd, parse_element
 from .search import (
     check_rational_perfect_remark,
     count_lattice_points,
@@ -185,13 +185,15 @@ def _check_sector_uniqueness(jobs) -> list[dict]:
 
 
 def _check_divrem(jobs) -> list[dict]:
+    # the Euclidean step of rings.gcd, on the pairs of x and y
     rng = random.Random(VERIFY_SEED + 2)
     failures = []
     for ring in Ring:
         for _ in range(DEFAULTS["random_pairs"]):
             x = _random_element(rng, ring)
             y = _random_nonzero(rng, ring)
-            q, r = divmod(x, y)
+            qa, qb, ra, rb = _divrem(x.a, x.b, y.a, y.b, ring is Ring.GAUSSIAN)
+            q, r = QuadInt(ring, qa, qb), QuadInt(ring, ra, rb)
             if q * y + r != x or r.norm() >= y.norm():
                 failures.append(_fail("divrem_contract", (x, y), "x=qy+r, N(r)<N(y)", (q, r)))
     return failures

@@ -11,9 +11,14 @@ from cycloperfect.factorization import (
     is_ring_prime,
     prime_above,
 )
-from cycloperfect.rational import is_rational_prime, smallest_prime_factor_sieve
+from cycloperfect.rational import (
+    factor_with_sieve,
+    is_rational_prime,
+    smallest_prime_factor_sieve,
+)
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
-from cycloperfect.search import ScanInvariantError
+from cycloperfect.search import ScanInvariantError, iter_sector
+from peeling import peel_factor
 
 
 def e(a, b=0):
@@ -218,16 +223,56 @@ class TestFactor:
         assert obj["element"] == e(7).to_json()
 
 
+class TestMatchesPeeling:
+    def test_every_class_up_to_2e4(self):
+        bound = 20_000
+        spf = smallest_prime_factor_sieve(bound)
+        for ring in Ring:
+            for a, b, n in iter_sector(ring, bound):
+                x = QuadInt(ring, a, b)
+                norm_factors = factor_with_sieve(n, spf)
+                assert factor(x, norm_factors=norm_factors) == peel_factor(x, norm_factors), x
+
+    def test_seeded_elements_up_to_1e10(self):
+        rng = random.Random(17)
+        span = 10**10
+        for ring in Ring:
+            for _ in range(150):
+                x = QuadInt(ring, rng.randint(-span, span), rng.randint(-span, span))
+                if x:
+                    assert factor(x) == peel_factor(x), x
+
+    def test_content_and_prime_powers(self):
+        # the content q^k goes to both conjugates, the rest to one of them
+        for ring in Ring:
+            for q in (7, 13, 37):
+                pi = prime_above(q, ring)
+                for k in range(3):
+                    for j in range(4):
+                        for x in (q**k * pi**j, q**k * _conjugate_prime(pi) ** j):
+                            for u in ring.units:
+                                assert factor(u * x) == peel_factor(u * x), (u, x)
+
+
+_WRONG_NORM_MESSAGES = {
+    "ramified": "do not divide",
+    "inert": "odd exponent",
+    "split": "do not divide",
+    "content": r"content 5\^1 exceeds 5\^1",
+}
+
+
 @pytest.mark.parametrize(
     "x, norm_factors, kind",
     [
         (g(2), [(2, 3)], "ramified"),  # 2 = -i(1+i)^2: (1+i)^3 does not divide it
         (e(2), [(2, 1)], "inert"),  # the prime 2 takes 2^2 of the norm at a time
-        (g(5), [(5, 3)], "split"),  # 5 = (2+i)(2-i): two peels, not three
+        (g(5), [(5, 3)], "split"),  # 5 = (2+i)(2-i): two primes, not three
+        (g(5), [(5, 1)], "content"),  # 5 | gcd(5, 0) puts 5^2 in the norm
     ],
 )
 def test_wrong_norm_factors_raise(x, norm_factors, kind):
-    with pytest.raises(ArithmeticError, match=f"{kind} peel mismatch"):
+    with pytest.raises(ArithmeticError, match=_WRONG_NORM_MESSAGES[kind]):
         factor(x, norm_factors=norm_factors)
 
 
@@ -293,7 +338,7 @@ class TestClaim:
             for _ in range(300):
                 x = QuadInt(ring, rng.randint(-300, 300), rng.randint(-300, 300))
                 if x:
-                    fac = factor(x)
+                    fac = peel_factor(x)
                     f = _certify(x, _claim(fac)[::-1])
                     cls = classify(x, factorization=fac)
                     assert (f.sigma, f.sigma_norm, f.perfect) == (

@@ -19,6 +19,7 @@ from cycloperfect.divisors import (
 )
 from cycloperfect.factorization import Factorization, factor, is_ring_prime
 from cycloperfect.mersenne import NORM_PERFECT_K_RESIDUES, candidate_factorization
+from cycloperfect.mersenne import scan as mersenne_scan
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
 from cycloperfect.search import (
     Finding,
@@ -37,6 +38,7 @@ from cycloperfect.search import (
     validate_ward_form,
 )
 from cycloperfect.verify import DEFAULTS, _check_recomposition_sweep, sector_primes
+from peeling import peel_factor
 
 
 def e(a, b=0):
@@ -219,7 +221,7 @@ class TestNormLane:
         for ring in Ring:
             search._build_context(ring, bound)
             for a, b, n in iter_sector(ring, bound):
-                fac = search._factor_point(ring, a, b, n)
+                fac = peel_factor(QuadInt(ring, a, b))
                 sn, terms = search._norm_lane(a, b, n)
                 pairs = [(p, k) for p, k, _ in terms]
                 factors = sorted(pairs, key=lambda f: (f[0].norm(), f[0].a, f[0].b))
@@ -236,7 +238,7 @@ class TestNormLane:
             for a, b, n in iter_sector(ring, bound):
                 sn, terms = search._norm_lane(a, b, n)
                 f = search._certify(ring, a, b, n, sn, terms)
-                fac = search._factor_point(ring, a, b, n)
+                fac = peel_factor(QuadInt(ring, a, b))
                 assert f == _finding(classify(QuadInt(ring, a, b), factorization=fac)), (a, b)
 
     def test_cached_prime_powers(self):
@@ -347,7 +349,7 @@ def test_scan_matches_peel_reference(ring, monkeypatch, capsys):
     classes = []
     for a, b, _n in iter_sector(ring, bound):
         x = QuadInt(ring, a, b)
-        fac = factor(x)
+        fac = peel_factor(x)
         classes.append((x, fac, classify(x, factorization=fac)))
     for parity in ("all", "odd", "even"):
         for prune in (False, True):
@@ -492,6 +494,17 @@ class TestFactorSweep:
         monkeypatch.setattr(search, "factor", wrong_at_bad)
         failures = _check_recomposition_sweep(2)
         assert [(f["check"], f["inputs"]) for f in failures] == [("recomposition", repr(bad))]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_raise(jobs):
+    # the pool runner refuses what the CLI's --jobs refuses
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        sector_scan(GAUSSIAN, 300, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        mersenne_scan(EISENSTEIN, 20, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        factor_sweep(GAUSSIAN, 300, _flag_rational, jobs)
 
 
 class TestOddFormValidators:

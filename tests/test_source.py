@@ -1,9 +1,11 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cycloperfect"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cycloperfect"
 
 
 def test_no_assert_or_debug_in_package():
@@ -26,3 +28,25 @@ def test_every_exported_name_resolves():
     missing = [name for name in cycloperfect.__all__ if not hasattr(cycloperfect, name)]
     assert missing == []
     assert len(set(cycloperfect.__all__)) == len(cycloperfect.__all__)
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracing.py wraps each (module, attribute) of SPANS and COUNTED,
+    # so a layer that is renamed or deleted breaks the benchmark's traced pass
+    path = ROOT / "perfbench" / "tracing.py"
+    targets = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTED") for t in node.targets
+        ):
+            for value in node.value.values:
+                targets.append((value.elts[0].value, value.elts[1].value))
+    assert len(targets) >= 17
+    missing = []
+    for module, attr in targets:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == []
