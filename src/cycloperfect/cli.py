@@ -39,7 +39,7 @@ from .rational import (
     PRIMALITY_SEED,
     TRIAL_DIVISION_BOUND,
 )
-from .rings import ElementParseError, QuadInt, Ring, parse_element
+from .rings import _ELEMENT_RE, ElementParseError, QuadInt, Ring, parse_element
 from .search import (
     ScanInvariantError,
     check_rational_perfect_remark,
@@ -57,6 +57,11 @@ EXIT_INTERRUPTED = 130
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # what parses as an element, -3+4i included, is an argument and not an option
+        self._negative_number_matcher = _ELEMENT_RE
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -3,8 +3,8 @@
 Every nonzero element splits as unit * prod(pi**e) where each pi is the
 sector representative of its associate class.  factor reads the exponents
 off the norm's rational factorization, one rule per splitting type (for
-split primes _split_exponents, which the scans' norm lane shares), and
-proves them by one exact division to a unit.
+split primes _split_exponents), and proves them by one exact division to a
+unit.
 """
 
 from __future__ import annotations

@@ -1,32 +1,32 @@
 """Exhaustive desk-scale searches and theorem-shaped structural validators.
 
-Sector scans enumerate exactly one representative per associate class
-(Gaussian a > 0, b >= 0; Eisenstein a > b >= 0) and decide deficiency from
-integers alone (the norm lane, see _norm_lane).  Every non-deficient class
-becomes a Finding, a row of integers certified by one exact division and a
-sigma-norm check (_certify), and the report writes its JSON text straight
-from the rows.  The region is partitioned into strips of the a coordinate;
-workers return their rows and the parent sorts them, so reports are
-identical no matter how many processes run.
-"""
+Sector scans visit exactly one representative per associate class
+(Gaussian a > 0, b >= 0; Eisenstein a > b >= 0) without factoring any: a
+depth-first walk over the table of sector primes builds each class from
+its prime powers, carrying its norm and the norm of its sigma as integers
+(_walk_chunk).  Every non-deficient class becomes a Finding, a row of
+integers, and the report writes its JSON text straight from the rows.  The
+number of classes visited must equal an independent count of the region
+(count_sector_classes).  Workers return their rows and the parent sorts
+them, so reports are identical no matter how many processes run."""
 
 from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
 from .divisors import (
     Status,
-    _geometric_sum,
     classify,
     divisor_sum_from_factorization,
     perfect_associate_unit,
     sigma_from_factorization,
 )
-from .factorization import Factorization, _split_exponents, factor
+from .factorization import Factorization, factor
 from .mersenne import NORM_PERFECT_K_RESIDUES
 from .parallel import run_chunks
 from .rational import (
@@ -39,6 +39,8 @@ from .rings import QuadInt, Ring
 DEFAULT_SCAN_LIMIT = 200_000
 PRIME_SEARCH_LIMIT = 10**6
 _CHUNK_TARGET_POINTS = 6_000
+# a sector scan deals the subtrees of its walk round-robin into this many chunks
+_WALK_CHUNKS = 8
 # a factor sweep stops after the first point at which it holds more failures
 _MAX_FAILURES = 20
 
@@ -87,7 +89,18 @@ def iter_sector(ring: Ring, bound: int):
 
 
 def count_sector_classes(ring: Ring, bound: int) -> int:
-    return sum(1 for _ in iter_sector(ring, bound))
+    """Sector classes with 0 < norm <= bound, summed strip by strip in
+    O(sqrt(bound)): the Eisenstein strip at a holds the b in [0, a) with
+    (2b - a)**2 <= 4*bound - 3*a**2."""
+    if ring is Ring.GAUSSIAN:
+        return sum(isqrt(bound - a * a) + 1 for a in a_range(ring, bound))
+    count = 0
+    for a in a_range(ring, bound):
+        disc = 4 * bound - 3 * a * a
+        if disc >= 0:
+            r = isqrt(disc)
+            count += max(0, min(a - 1, (a + r) // 2) - max(0, (a - r + 1) // 2) + 1)
+    return count
 
 
 def count_lattice_points(ring: Ring, bound: int) -> int:
@@ -110,7 +123,7 @@ def count_lattice_points(ring: Ring, bound: int) -> int:
 # -- shared worker context ------------------------------------------------------
 #
 # Sweeps fork their workers, so the parent publishes the (large, read-only)
-# sieve and prime tables here right before creating the pool.  _BUILT keeps
+# sieve and prime table as _CTX right before creating the pool.  _BUILT keeps
 # the last context built for each ring: a sweep of the same ring and bound
 # reuses it, and the other ring at the same bound reuses its spf sieve.
 
@@ -118,57 +131,81 @@ _CTX: dict = {}
 _BUILT: dict[Ring, dict] = {}
 
 
-def _build_context(ring: Ring, bound: int) -> None:
-    """Publish the sieve and the prime tables of the norm lane, the one
-    enumeration of the sector's primes (sector_primes reads it too).
-
-    split maps each split rational prime q up to the bound to
-    (pi, pi_bar, t, powers, bar_powers): pi and pi_bar are the two sector
-    primes of norm q (pi first in sector order), and t = -a_pi / b_pi (mod q)
-    is the image of theta in Z[theta]/pi, so pi divides a + b*theta exactly
-    when a + b*t = 0 (mod q).  whole maps the ramified prime and each inert q
-    that can divide a norm up to the bound to (pi, d, powers), where pi is
-    the one prime above q and N(pi) = q**d.  powers (bar_powers) is the
-    prime's cache of _prime_power entries, extended on demand in each
-    process; every list starts with the one shared entry for j = 0.
-    split_pi maps each split q to its pi, the split_lookup factor() takes.
-    """
+def _build_context(ring: Ring, bound: int) -> dict:
+    """Publish the sieve and the prime table, the one enumeration of the
+    sector's primes, as _CTX and return it.  rows[i] belongs to the i-th
+    sector prime pi of norm <= bound in (norm, a, b) order (rows[0] is the
+    minimal prime) and holds (N(pi)**j, N(sigma(pi**j)), pi**j, sigma(pi**j))
+    for each j >= 1 with N(pi)**j <= bound, elements as integer pairs.
+    norms[i] is N(pi), and norms[-1] = bound + 1 stops every walk."""
+    global _CTX
     ctx = _BUILT.get(ring)
     if ctx is None or ctx["bound"] != bound:
         ctx = _new_context(ring, bound)
         _BUILT[ring] = ctx
-    _CTX.clear()
-    _CTX.update(ctx)
+    _CTX = ctx
+    return ctx
 
 
 def _new_context(ring: Ring, bound: int) -> dict:
     spf = next((c["spf"] for c in _BUILT.values() if c["bound"] == bound), None)
     if spf is None:
         spf = smallest_prime_factor_sieve(bound)
-    above: dict[int, list[QuadInt]] = {}
-    for a, b, n in iter_sector(ring, bound):
-        if n >= 2 and spf[n] == n and not ring.is_ramified(n):
-            above.setdefault(n, []).append(QuadInt(ring, a, b))
-    one = QuadInt(ring, 1, 0)
-    zeroth = (1, one, one)  # sigma(pi**0) = pi**0 = 1 for every prime
-    split: dict[int, tuple] = {}
-    for q, primes in above.items():
-        if len(primes) != 2:
-            raise ScanInvariantError(f"{len(primes)} sector primes of norm {q}")
-        pi, pi_bar = primes
-        split[q] = (pi, pi_bar, -pi.a * pow(pi.b, -1, q) % q, [zeroth], [zeroth])
-    whole: dict[int, tuple] = {ring.residue_char: (ring.minimal_prime, 1, [zeroth])}
-    for q in range(2, isqrt(bound) + 1):
-        if ring.is_inert(q) and spf[q] == q:
-            whole[q] = (QuadInt(ring, q, 0), 2, [zeroth])
-    return dict(
-        ring=ring,
-        bound=bound,
-        spf=spf,
-        split=split,
-        whole=whole,
-        split_pi={q: v[0] for q, v in split.items()},
-    )
+    rows = _prime_rows(ring, bound, _sector_prime_triples(ring, bound, spf))
+    norms = [row[0][0] for row in rows] + [bound + 1]
+    return dict(ring=ring, bound=bound, spf=spf, rows=rows, norms=norms)
+
+
+def _sector_prime_triples(ring: Ring, bound: int, spf) -> list[tuple[int, int, int]]:
+    """(N(pi), a, b) for each sector prime pi = a + b*theta of norm <= bound,
+    sorted: the minimal prime, the sector points of split prime norm and
+    each inert q with q**2 <= bound."""
+    char = ring.residue_char
+    # a split prime's norm is a prime above char, the least norm above 1
+    primes = [
+        (n, a, b)
+        for a in a_range(ring, bound)
+        for b, n in strip_points(ring, bound, a)
+        if spf[n] == n > char
+    ]
+    if char <= bound:
+        primes.append((char, ring.minimal_prime.a, ring.minimal_prime.b))
+    inert = (q for q in range(2, isqrt(bound) + 1) if ring.is_inert(q) and spf[q] == q)
+    primes += [(q * q, q, 0) for q in inert]
+    primes.sort()
+    return primes
+
+
+def _prime_rows(ring: Ring, bound: int, primes: list[tuple[int, int, int]]) -> list[tuple]:
+    """The table rows (see _build_context) of the (N(pi), a, b) triples.
+    The first must be the minimal prime, every prime must lie in the sector,
+    no two may be equal and each pi**j must have norm N(pi)**j, or
+    ScanInvariantError is raised."""
+    t = int(ring is Ring.EISENSTEIN)
+    if len(set(primes)) != len(primes):
+        raise ScanInvariantError(f"the {ring} prime table repeats a prime")
+    least = ring.minimal_prime
+    if primes and primes[0] != (ring.residue_char, least.a, least.b):
+        raise ScanInvariantError(f"the {ring} prime table does not start with {least}")
+    rows = []
+    for n, a, b in primes:
+        if not (a > b >= 0 if t else a > 0 and b >= 0):
+            raise ScanInvariantError(f"prime {QuadInt(ring, a, b)} is not in the sector")
+        row = []
+        pn, xa, xb, sa, sb = n, a, b, a + 1, b  # N(pi), pi, sigma(pi) = 1 + pi
+        while True:
+            if xa * xa - t * xa * xb + xb * xb != pn:
+                raise ScanInvariantError(f"{QuadInt(ring, a, b)}**{len(row) + 1} lacks norm {pn}")
+            row.append((pn, sa * sa - t * sa * sb + sb * sb, xa, xb, sa, sb))
+            pn *= n
+            if pn > bound:
+                break
+            # times pi, theta**2 = -1 - t*theta; sigma also plus 1
+            bd, sd = xb * b, sb * b
+            xa, xb = xa * a - bd, xa * b + xb * a - t * bd
+            sa, sb = sa * a - sd + 1, sa * b + sb * a - t * sd
+        rows.append(tuple(row))
+    return rows
 
 
 def _chunks(ring: Ring, bound: int) -> list[tuple[int, int]]:
@@ -220,52 +257,6 @@ def _oracle_check(x: QuadInt, fac: Factorization, n: int) -> list[QuadInt]:
     return []
 
 
-def _prime_power(pi: QuadInt, powers: list, j: int) -> tuple[int, QuadInt, QuadInt]:
-    """powers[j] = (N(sigma(pi**j)), sigma(pi**j), pi**j), extending the
-    cache as far as j."""
-    while len(powers) <= j:
-        k = len(powers)
-        s = _geometric_sum(pi, k)
-        powers.append((s.norm(), s, pi**k))
-    return powers[j]
-
-
-def _norm_lane(a: int, b: int, n: int) -> tuple[int, list[tuple[QuadInt, int, list]]]:
-    """N(sigma(x)) and the (prime, exponent, powers) terms of x = a + b*theta,
-    powers being the prime's _prime_power cache.
-
-    Integer arithmetic only: the exponents come from the sieve factorization
-    of the norm n.  A ramified prime takes the exponent of q, an inert one
-    half of it, and a split q's pi and pi_bar share it by
-    factorization._split_exponents, the rule factor() uses.  Terms come in
-    no particular order and omit zero exponents.
-    """
-    split, whole = _CTX["split"], _CTX["whole"]
-    sn = 1
-    terms: list[tuple[QuadInt, int, list]] = []
-    for q, e in factor_with_sieve(n, _CTX["spf"]):
-        s = split.get(q)
-        if s is None:
-            pi, d, powers = whole[q]
-            if e % d:
-                raise ScanInvariantError(f"exponent {e} of inert {q} in norm {n} is odd")
-            sn *= _prime_power(pi, powers, e // d)[0]
-            terms.append((pi, e // d, powers))
-            continue
-        pi, pi_bar, t, powers, bar_powers = s
-        try:
-            j, j_bar = _split_exponents(a, b, q, e, t)
-        except ArithmeticError as err:
-            raise ScanInvariantError(f"{err} in norm {n}") from err
-        if j:
-            sn *= _prime_power(pi, powers, j)[0]
-            terms.append((pi, j, powers))
-        if j_bar:
-            sn *= _prime_power(pi_bar, bar_powers, j_bar)[0]
-            terms.append((pi_bar, j_bar, bar_powers))
-    return sn, terms
-
-
 class Finding(NamedTuple):
     """A non-deficient class of a sector scan as a row of integers: the
     class a + b*theta, its sigma sigma_a + sigma_b*theta, both norms and
@@ -309,91 +300,71 @@ def _status(char: int, norm: int, sigma_norm: int) -> Status:
     return Status.ABUNDANT
 
 
-def _breach(ring: Ring, a: int, b: int, terms: list, reason: str) -> ScanInvariantError:
-    pairs = [(pi, j) for pi, j, _ in terms]
-    return ScanInvariantError(
-        f"lane exponents {pairs} fail at {QuadInt(ring, a, b)}: {reason}"
-    )
-
-
-def _certify(ring: Ring, a: int, b: int, n: int, sn: int, terms: list) -> Finding:
-    """The finding of x = a + b*theta of norm n, certified from the lane's
-    (prime, exponent, powers) terms and sigma norm sn on integer pairs.
-
-    Every exponent must be at least 1 and the primes pairwise distinct and
-    in the sector.  P, the product of the cached pi**j, must divide x to a
-    unit: x * conj(P) is N(P) times a quotient of norm 1, so by unique
-    factorization the exponents are proven.  sigma, the product of the
-    cached sigma(pi**j), must have norm sn.  A failed check raises
-    ScanInvariantError.  Pairs multiply by theta**2 = -1 - t*theta, with
-    t = 0 (Gaussian) or 1 (Eisenstein).
-    """
-    t = 0 if ring is Ring.GAUSSIAN else 1
-    pa, pb = 1, 0  # P
-    sa, sb = 1, 0  # sigma
-    seen = set()
-    for pi, j, powers in terms:
-        c, d = pi.a, pi.b
-        if j < 1:
-            raise _breach(ring, a, b, terms, f"exponent {j} of {pi} is not positive")
-        if (c, d) in seen or not (c > 0 and d >= 0 if t == 0 else c > d >= 0):
-            raise _breach(ring, a, b, terms, f"prime {pi} is repeated or not canonical")
-        seen.add((c, d))
-        _, s, power = _prime_power(pi, powers, j)
-        c, d = power.a, power.b
-        bd = pb * d
-        pa, pb = pa * c - bd, pa * d + pb * c - t * bd
-        c, d = s.a, s.b
-        bd = sb * d
-        sa, sb = sa * c - bd, sa * d + sb * c - t * bd
-    # x * conj(P), with conj(c + d*theta) = (c - t*d) - d*theta
-    norm_p = pa * pa - t * pa * pb + pb * pb
-    ua, ra = divmod(a * (pa - t * pb) + b * pb, norm_p)
-    ub, rb = divmod(b * pa - a * pb, norm_p)
-    if ra or rb or ua * ua - t * ua * ub + ub * ub != 1:
-        raise _breach(ring, a, b, terms, "the prime powers do not divide it to a unit")
-    sigma_norm = sa * sa - t * sa * sb + sb * sb
-    if sigma_norm != sn:
-        raise ScanInvariantError(
-            f"lane sigma norm {sn} differs from {sigma_norm} at {QuadInt(ring, a, b)}"
-        )
+def _finding(ring: Ring, n: int, sn: int, xa: int, xb: int, sa: int, sb: int) -> Finding:
+    """The finding of the class of x = xa + xb*theta, of norm n, whose sigma
+    sa + sb*theta has norm sn: x turns into the sector, and both norms are
+    checked on the pairs, or ScanInvariantError is raised."""
+    t = int(ring is Ring.EISENSTEIN)
+    # times the unit theta (Gaussian) resp. 1 + theta until in the sector
+    while not (xa > xb >= 0 if t else xa > 0 and xb >= 0):
+        xa, xb = (xa - xb, xa) if t else (-xb, xa)
+    if xa * xa - t * xa * xb + xb * xb != n or sa * sa - t * sa * sb + sb * sb != sn:
+        raise ScanInvariantError(f"norms {n}, {sn} do not fit x {xa}, {xb}, sigma {sa}, {sb}")
     # minimal_prime * x: (1+i)(a+bi) resp. (2+w)(a+bw)
-    perfect = sa == (1 + t) * a - b and sb == a + b
-    return Finding(n, a, b, sa, sb, sigma_norm, perfect, ring)
+    perfect = sa == (1 + t) * xa - xb and sb == xa + xb
+    return Finding(n, xa, xb, sa, sb, sn, perfect, ring)
 
 
-def _classify_chunk(args) -> tuple[int, int, list[Finding]]:
-    chunk, parity, prune = args
-    ring, bound = _CTX["ring"], _CTX["bound"]
+def _walk_chunk(starts: list[tuple[int, int]]) -> tuple[int, list[Finding]]:
+    """Visit the classes of each start (v, i): those of minimal-prime
+    exponent v whose least other prime is the table's i-th, or for i = 0
+    the root minimal_prime**v alone.  Returns (classes visited, findings).
+
+    A node carries its norm and N(sigma), and x and sigma(x) as integer
+    pairs where a finding or a child needs them; its children multiply in
+    pi_k**j for each prime pi_k after its own in the table, so by unique
+    factorization no class is visited twice.
+    """
+    ring, bound, rows, norms = _CTX["ring"], _CTX["bound"], _CTX["rows"], _CTX["norms"]
+    t = int(ring is Ring.EISENSTEIN)
     char = ring.residue_char
-    allowed = NORM_PERFECT_K_RESIDUES[ring]
-    scanned = 0
-    pruned = 0
+    visited = 0
     findings: list[Finding] = []
-    for a in range(*chunk):
-        for b, n in strip_points(ring, bound, a):
-            even = (a + b) % char == 0
-            if parity == "odd" and even:
-                continue
-            if parity == "even" and not even:
-                continue
-            scanned += 1
-            if prune and even:
-                # multiplicity of the minimal prime in x equals the
-                # multiplicity of the ramified rational prime in the norm
-                v = 0
-                nn = n
-                while nn % char == 0:
-                    nn //= char
-                    v += 1
-                if (v + 1) % 12 not in allowed:
-                    pruned += 1
-                    continue
-            sn, terms = _norm_lane(a, b, n)
-            if sn < char * n:
-                continue
-            findings.append(_certify(ring, a, b, n, sn, terms))
-    return scanned, pruned, findings
+
+    def walk(lo, hi, n, sn, xa, xb, sa, sb):
+        nonlocal visited
+        for k in range(lo, hi):
+            if n * norms[k] > bound:
+                break
+            after = norms[k + 1]
+            for pn, psn, pa, pb, qa, qb in rows[k]:
+                m = n * pn
+                if m > bound:
+                    break
+                visited += 1
+                msn = sn * psn
+                found = msn >= char * m
+                inner = m * after <= bound
+                if not (found or inner):
+                    continue  # a deficient leaf needs no pairs
+                bd = xb * pb
+                ya, yb = xa * pa - bd, xa * pb + xb * pa - t * bd
+                bd = sb * qb
+                ta, tb = sa * qa - bd, sa * qb + sb * qa - t * bd
+                if found:
+                    findings.append(_finding(ring, m, msn, ya, yb, ta, tb))
+                if inner:
+                    walk(k + 1, len(rows), m, msn, ya, yb, ta, tb)
+
+    for v, i in starts:
+        root = rows[0][v - 1] if v else (1, 1, 1, 0, 1, 0)
+        if i:
+            walk(i, i + 1, *root)
+            continue
+        visited += 1
+        if root[1] >= char * root[0]:
+            findings.append(_finding(ring, *root))
+    return visited, findings
 
 
 # -- public sweeps ---------------------------------------------------------------
@@ -407,7 +378,14 @@ def factor_sweep(
     list of failures.  Returns (checked, failures) with the failures in
     sector order, stopping after the first point at which more than
     _MAX_FAILURES are held."""
-    _build_context(ring, bound)
+    ctx = _build_context(ring, bound)
+    if "split_pi" not in ctx:
+        # a sector prime above each split q, the split_lookup factor() takes
+        ctx["split_pi"] = {
+            n: QuadInt(ring, a, b)
+            for (n, _, a, b, _, _), *_ in ctx["rows"]
+            if b and not ring.is_ramified(n)
+        }
     checked = 0
     failures: list = []
     work = [(c, check) for c in _chunks(ring, bound)]
@@ -430,12 +408,7 @@ def oracle_equivalence_sweep(
 
 def sector_primes(ring: Ring, bound: int) -> list[QuadInt]:
     """All sector-canonical primes of norm <= bound, ascending by (norm, a, b)."""
-    _build_context(ring, bound)
-    primes = [pi for s in _CTX["split"].values() for pi in s[:2]]
-    # whole always holds the ramified prime, even above the bound
-    primes += [w[0] for w in _CTX["whole"].values() if w[0].norm() <= bound]
-    primes.sort(key=lambda x: (x.norm(), x.a, x.b))
-    return primes
+    return [QuadInt(ring, a, b) for (_, _, a, b, _, _), *_ in _build_context(ring, bound)["rows"]]
 
 
 def perfect_unit(f: Finding) -> QuadInt | None:
@@ -551,16 +524,37 @@ def sector_scan(
     if norm_bound > DEFAULT_SCAN_LIMIT:
         raise ValueError(f"norm bound {norm_bound} exceeds the limit {DEFAULT_SCAN_LIMIT}")
     t0 = time.monotonic()
-    _build_context(ring, norm_bound)
-    scanned = pruned = 0
+    norms = _build_context(ring, norm_bound)["norms"]
+    char = ring.residue_char
+    # v = 0 roots the odd classes, each v >= 1 the even classes of
+    # minimal-prime exponent v, which have odd parts of norm <= limit
+    starts: list[tuple[int, int]] = []
+    pruned = 0
+    v_stop = 1 if parity == "odd" else norm_bound.bit_length()
+    for v in range(1 if parity == "even" else 0, v_stop):
+        limit = norm_bound // char**v
+        if not limit:
+            break
+        if prune and v and (v + 1) % 12 not in NORM_PERFECT_K_RESIDUES[ring]:
+            pruned += count_sector_classes(ring, limit) - count_sector_classes(ring, limit // char)
+            continue
+        starts += [(v, i) for i in range(bisect_right(norms, limit, 1, len(norms) - 1))]
+    scanned = pruned
     findings: list[Finding] = []
-    work = [(c, parity, prune) for c in _chunks(ring, norm_bound)]
-    for s, p, fs in run_chunks(_classify_chunk, work, jobs):
-        scanned += s
-        pruned += p
+    work = [starts[k::_WALK_CHUNKS] for k in range(min(_WALK_CHUNKS, len(starts)))]
+    for visited, fs in run_chunks(_walk_chunk, work, jobs):
+        scanned += visited
         findings.extend(fs)
         if progress_cb is not None:
             progress_cb(scanned)
+    # completeness: C(B) classes in all, C(B // char) of them even
+    count = count_sector_classes
+    every, even = count(ring, norm_bound), count(ring, norm_bound // char)
+    want = {"all": every, "odd": every - even, "even": even}[parity]
+    if scanned != want:
+        raise ScanInvariantError(
+            f"scanned {scanned} of the {want} {parity} classes of norm <= {norm_bound}"
+        )
     findings.sort()
     return SearchReport(
         ring=ring,

@@ -11,6 +11,7 @@ from cycloperfect.cli import (
     main,
 )
 from cycloperfect.search import SearchReport
+from table_faults import FAULTS
 
 
 def run(capsys, *argv):
@@ -66,6 +67,12 @@ class TestElementCommands:
     def test_sigma(self, capsys):
         obj = run_json(capsys, "sigma", "--ring", "eisenstein", "3+3w")
         assert obj["sigma"] == {"ring": "eisenstein", "a": "6", "b": "4"}
+
+    @pytest.mark.parametrize("command", ["factor", "sigma", "classify"])
+    def test_an_element_may_start_with_a_minus(self, capsys, command):
+        for ring, text in (("gaussian", "-3+4i"), ("eisenstein", "-3-4w"), ("gaussian", "-3")):
+            obj = run_json(capsys, command, "--ring", ring, text)
+            assert obj == run_json(capsys, command, "--ring", ring, "--", text), (ring, text)
 
     def test_parse_error_exit(self, capsys):
         code, _out, err = run(capsys, "classify", "--ring", "gaussian", "nope")
@@ -154,20 +161,17 @@ class TestSearchCommands:
         assert code == EXIT_OK
         assert "scanned" in err
 
-    def test_lane_factor_disagreement_is_a_scan_breach(self, capsys, monkeypatch):
-        lane = search._norm_lane
-
-        def shifted(a, b, n):  # right sigma norm, wrong exponents
-            sn, terms = lane(a, b, n)
-            return sn, [(p, k + 1, powers) for p, k, powers in terms]
-
-        monkeypatch.setattr(search, "_norm_lane", shifted)
-        code, _out, err = run(
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_a_table_fault_is_a_scan_breach(self, capsys, monkeypatch, fault):
+        install, message = FAULTS[fault]
+        install(monkeypatch)
+        code, out, err = run(
             capsys,
             "search-odd", "--ring", "gaussian", "--max-norm", "200", "--jobs", "1",
         )
-        assert code == EXIT_SCAN_BREACH
-        assert err.startswith("scan invariant breach: lane exponents")
+        assert (code, out) == (EXIT_SCAN_BREACH, "")
+        assert err.startswith("scan invariant breach: ") and message in err
+        assert err.count("\n") == 1
 
     def test_plain_json_builds_no_table(self, capsys, monkeypatch):
         def no_table(report):

@@ -3,8 +3,6 @@ from math import isqrt
 
 import pytest
 
-from cycloperfect import search
-from cycloperfect.divisors import classify, sigma_from_factorization
 from cycloperfect.factorization import (
     _conjugate_prime,
     factor,
@@ -17,7 +15,7 @@ from cycloperfect.rational import (
     smallest_prime_factor_sieve,
 )
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
-from cycloperfect.search import ScanInvariantError, iter_sector
+from cycloperfect.search import iter_sector
 from peeling import peel_factor
 
 
@@ -274,93 +272,3 @@ _WRONG_NORM_MESSAGES = {
 def test_wrong_norm_factors_raise(x, norm_factors, kind):
     with pytest.raises(ArithmeticError, match=_WRONG_NORM_MESSAGES[kind]):
         factor(x, norm_factors=norm_factors)
-
-
-
-def _powers(ring):
-    """A fresh cache of prime powers, as the scan context starts each one."""
-    one = QuadInt(ring, 1, 0)
-    return [(1, one, one)]
-
-
-def _claim(fac):
-    """fac's (prime, exponent) pairs as the norm lane's terms."""
-    return [(p, k, _powers(p.ring)) for p, k in fac.factors]
-
-
-def _certify(x, claim):
-    """The scan's finding certificate of x on the claimed terms, with the
-    true sigma norm."""
-    sn = sigma_from_factorization(factor(x)).norm()
-    return search._certify(x.ring, x.a, x.b, x.norm(), sn, claim)
-
-
-def _shifted(claim):
-    # (1+i)^5 does not divide x
-    bump = {g(1, 1): 1}
-    return [(p, k + bump.get(p, 0), powers) for p, k, powers in claim]
-
-
-def _swapped(claim):
-    # (1+2i)^3 (2+i)^2 has the norm of (2+i)^3 (1+2i)^2 but does not divide x
-    swap = {g(2, 1): g(1, 2), g(1, 2): g(2, 1)}
-    return [(swap.get(p, p), k, _powers(GAUSSIAN)) for p, k, _ in claim]
-
-
-def _repeated(claim):
-    # (2+i) * (2+i) divides x, but is one prime claimed twice
-    return claim + [(g(2, 1), 1, _powers(GAUSSIAN))]
-
-
-def _zero(claim):
-    return claim + [(g(4, 1), 0, _powers(GAUSSIAN))]
-
-
-def _cofactor(claim):
-    # without 3 the division is exact and leaves 3
-    return [t for t in claim if t[0] != g(3)]
-
-
-def _associate(claim):
-    # 2-i is an associate of 1+2i, not its sector representative
-    return [(g(2, -1) if p == g(1, 2) else p, k, pw) for p, k, pw in claim]
-
-
-class TestClaim:
-    # x = (2+i)^3 * (1+2i)^2 * 3 * (1+i)^4 up to a unit
-    X = g(2, 1) ** 3 * g(1, 2) ** 2 * g(3) * g(1, 1) ** 4
-
-    def test_a_true_claim_gives_the_peeled_factorization(self):
-        # the certificate accepts peeling's factorization in any order and
-        # builds the sigma that classify builds from it
-        rng = random.Random(53)
-        for ring in Ring:
-            for _ in range(300):
-                x = QuadInt(ring, rng.randint(-300, 300), rng.randint(-300, 300))
-                if x:
-                    fac = peel_factor(x)
-                    f = _certify(x, _claim(fac)[::-1])
-                    cls = classify(x, factorization=fac)
-                    assert (f.sigma, f.sigma_norm, f.perfect) == (
-                        cls.sigma,
-                        cls.sigma_norm,
-                        cls.perfect,
-                    ), x
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (_shifted, "do not divide"),
-            (_swapped, "do not divide"),
-            (_repeated, "repeated"),
-            (_zero, "not positive"),
-            (_cofactor, "do not divide"),
-            (_associate, "not canonical"),
-        ],
-        ids=["shifted", "swapped", "repeated", "zero", "cofactor", "associate"],
-    )
-    def test_a_wrong_claim_raises(self, edit, message):
-        claim = _claim(factor(self.X))
-        assert _certify(self.X, claim).element == self.X
-        with pytest.raises(ScanInvariantError, match=message):
-            _certify(self.X, edit(claim))

@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import os
 import random
+import re
 import signal
 from math import isqrt
 
@@ -15,7 +17,6 @@ from cycloperfect.divisors import (
     classify,
     divisor_sum_from_factorization,
     perfect_associate_unit,
-    sigma_from_factorization,
 )
 from cycloperfect.factorization import Factorization, factor, is_ring_prime
 from cycloperfect.mersenne import NORM_PERFECT_K_RESIDUES, candidate_factorization
@@ -39,6 +40,7 @@ from cycloperfect.search import (
 )
 from cycloperfect.verify import DEFAULTS, _check_recomposition_sweep, sector_primes
 from peeling import peel_factor
+from table_faults import FAULTS
 
 
 def e(a, b=0):
@@ -74,6 +76,11 @@ class TestEnumeration:
                 classes = count_sector_classes(ring, bound)
                 points = count_lattice_points(ring, bound)
                 assert points == classes * ring.unit_count
+
+    def test_strip_sum_counts_every_class(self):
+        for ring in Ring:
+            for bound in range(3_001):
+                assert count_sector_classes(ring, bound) == sum(1 for _ in iter_sector(ring, bound))
 
     def test_expected_counts(self):
         # frozen from the lattice-count cross-check: 31416 / 4 and 36294 / 6
@@ -190,10 +197,10 @@ class TestSectorContext:
         monkeypatch.setattr(search, "smallest_prime_factor_sieve", counting_sieve)
         bound = 1_234
         search._build_context(GAUSSIAN, bound)
-        split = search._CTX["split"]
+        rows = search._CTX["rows"]
         search._build_context(GAUSSIAN, bound)
         assert sieved == [bound]
-        assert search._CTX["split"] is split
+        assert search._CTX["rows"] is rows
         # the other ring reuses the ring-independent sieve
         search._build_context(EISENSTEIN, bound)
         assert sieved == [bound]
@@ -205,95 +212,68 @@ class TestSectorContext:
         assert sieved == [bound, bound + 1]
 
     def test_a_failed_build_is_not_kept(self, monkeypatch):
-        monkeypatch.setattr(search, "_BUILT", {})
-        # with no ramified prime, the one sector prime of norm 2 has no partner
-        monkeypatch.setattr(Ring, "is_ramified", lambda self, q: False)
-        with pytest.raises(ScanInvariantError, match="1 sector primes of norm 2"):
+        install, message = FAULTS["repeated"]
+        install(monkeypatch)
+        with pytest.raises(ScanInvariantError, match=message):
             search._build_context(GAUSSIAN, 1_234)
         assert search._BUILT == {}
 
 
-class TestNormLane:
-    def test_lane_matches_peel_oracle(self):
-        # every class up to 2*10^4: the lane's exponents and N(sigma) against
-        # peeling each prime by trial division
+class TestWalk:
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_walk_matches_peel_oracle(self, ring):
+        # every class up to 2*10^4: each scan's findings are the rows that
+        # classify builds from peeling's factorization, and it scans every
+        # class of its parity that iter_sector yields
         bound = 20_000
-        for ring in Ring:
-            search._build_context(ring, bound)
-            for a, b, n in iter_sector(ring, bound):
-                fac = peel_factor(QuadInt(ring, a, b))
-                sn, terms = search._norm_lane(a, b, n)
-                pairs = [(p, k) for p, k, _ in terms]
-                factors = sorted(pairs, key=lambda f: (f[0].norm(), f[0].a, f[0].b))
-                assert factors == list(fac.factors), (a, b)
-                assert sn == sigma_from_factorization(fac).norm(), (a, b)
+        allowed = NORM_PERFECT_K_RESIDUES[ring]
+        classes = []
+        for a, b, _ in iter_sector(ring, bound):
+            x = QuadInt(ring, a, b)
+            fac = peel_factor(x)
+            v = dict(fac.factors).get(ring.minimal_prime, 0)
+            classes.append((v, classify(x, factorization=fac)))
+        for parity in ("all", "odd", "even"):
+            kept = [(v, cls) for v, cls in classes if parity == "all" or (v > 0) == (parity == "even")]
+            for prune in (False, True):
+                skipped = [prune and v > 0 and (v + 1) % 12 not in allowed for v, _ in kept]
+                want = [
+                    _finding(cls)
+                    for (_, cls), skip in zip(kept, skipped)
+                    if not skip and cls.status is not Status.DEFICIENT
+                ]
+                report = sector_scan(ring, bound, parity=parity, jobs=1, prune=prune)
+                assert report.scanned == len(kept), (parity, prune)
+                assert report.pruned == sum(skipped), (parity, prune)
+                assert report.findings == tuple(sorted(want)), (parity, prune)
 
-    def test_claimed_factor_matches_peeling(self):
-        # every class up to 2*10^4: the lane's terms pass the finding
-        # certificate, and its row, sigma pair included, is the one that
-        # classify builds from peeling's factorization
+    def test_table_rows(self):
+        # every row j of every prime's table entry holds N(pi)**j, the
+        # oracle norm of sigma(pi**j), pi**j and _geometric_sum(pi, j)
         bound = 20_000
         for ring in Ring:
-            search._build_context(ring, bound)
-            for a, b, n in iter_sector(ring, bound):
-                sn, terms = search._norm_lane(a, b, n)
-                f = search._certify(ring, a, b, n, sn, terms)
-                fac = peel_factor(QuadInt(ring, a, b))
-                assert f == _finding(classify(QuadInt(ring, a, b), factorization=fac)), (a, b)
-
-    def test_cached_prime_powers(self):
-        # after the lane has run over every class up to 2*10^4, every cached
-        # entry j of every prime equals its definition
-        bound = 20_000
-        for ring in Ring:
-            search._build_context(ring, bound)
-            for a, b, n in iter_sector(ring, bound):
-                search._norm_lane(a, b, n)
-            caches = [(s[0], s[3]) for s in search._CTX["split"].values()]
-            caches += [(s[1], s[4]) for s in search._CTX["split"].values()]
-            caches += [(w[0], w[2]) for w in search._CTX["whole"].values()]
+            ctx = search._build_context(ring, bound)
             one = QuadInt(ring, 1, 0)
-            for pi, powers in caches:
-                # every prime of norm <= bound is a class itself, so has j = 1
-                assert len(powers) >= 2, pi
-                for j, (sn, s, power) in enumerate(powers):
-                    fac = Factorization(one, ((pi, j),) if j else ())
-                    assert s == _geometric_sum(pi, j), (pi, j)
-                    assert power == pi**j, (pi, j)
+            assert ctx["norms"] == [p.norm() for p in sector_primes(ring, bound)] + [bound + 1]
+            for row in ctx["rows"]:
+                pi = QuadInt(ring, row[0][2], row[0][3])
+                assert len(row) == max(j for j in range(1, 20) if pi.norm() ** j <= bound), pi
+                for j, (pn, sn, pa, pb, sa, sb) in enumerate(row, 1):
+                    fac = Factorization(one, ((pi, j),))
+                    assert pn == pi.norm() ** j, (pi, j)
                     assert sn == divisor_sum_from_factorization(fac).norm(), (pi, j)
+                    assert QuadInt(ring, pa, pb) == pi**j, (pi, j)
+                    assert QuadInt(ring, sa, sb) == _geometric_sum(pi, j), (pi, j)
 
-    def test_a_wrong_lane_fails_the_finding_certificate(self, monkeypatch):
-        lane = search._norm_lane
-
-        def inflated(a, b, n):  # every class looks non-deficient
-            sn, terms = lane(a, b, n)
-            return sn * 10**6, terms
-
-        monkeypatch.setattr(search, "_norm_lane", inflated)
-        with pytest.raises(ScanInvariantError, match="sigma norm"):
-            sector_scan(GAUSSIAN, 100, jobs=1)
-
-        def shifted(a, b, n):  # right sigma norm, wrong exponents
-            sn, terms = lane(a, b, n)
-            return sn, [(p, k + 1, powers) for p, k, powers in terms]
-
-        monkeypatch.setattr(search, "_norm_lane", shifted)
-        with pytest.raises(ScanInvariantError, match="exponents"):
-            sector_scan(GAUSSIAN, 100, jobs=1)
-
-        def swapped(a, b, n):  # pi and pi_bar trade places: the norm still fits
-            sn, terms = lane(a, b, n)
-            out = []
-            for p, k, powers in terms:
-                s = search._CTX["split"].get(p.norm())
-                if s is not None:
-                    p, powers = (s[1], s[4]) if p == s[0] else (s[0], s[3])
-                out.append((p, k, powers))
-            return sn, out
-
-        monkeypatch.setattr(search, "_norm_lane", swapped)
-        with pytest.raises(ScanInvariantError, match="exponents"):
-            sector_scan(GAUSSIAN, 100, jobs=1)
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_a_table_fault_is_a_scan_breach(self, ring, fault, monkeypatch):
+        install, message = FAULTS[fault]
+        install(monkeypatch)
+        for parity, jobs in (("odd", 1), ("even", 2)):
+            with pytest.raises(ScanInvariantError, match=message):
+                sector_scan(ring, 2_000, parity=parity, jobs=jobs)
+            search._BUILT.clear()
 
 
 _CSV_HEADER = ["element", "norm", "status", "even", "perfect", "sigma_norm", "perfect_unit"]
@@ -392,18 +372,25 @@ def test_scan_matches_peel_reference(ring, monkeypatch, capsys):
                 assert capsys.readouterr().out == text.getvalue(), mode
 
 
-def _sigterm_probe(args):
-    """Stands in for _classify_chunk: scans one class when it runs in a
-    pool worker where SIGTERM is unblocked and has the default disposition
-    and SIGINT is ignored."""
-    in_worker = os.getpid() != _TEST_PID
-    default = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
-    ignores_int = signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+_WALK_CHUNK = search._walk_chunk
+
+
+def _sigterm_probe(starts):
+    """Stands in for _walk_chunk: walks the chunk only in a pool worker
+    where SIGTERM is unblocked and has the default disposition and SIGINT
+    is ignored, and raises anywhere else."""
     blocked = signal.pthread_sigmask(signal.SIG_BLOCK, ()) & {
         signal.SIGTERM,
         signal.SIGINT,
     }
-    return int(in_worker and default and ignores_int and not blocked), 0, []
+    if not (
+        os.getpid() != _TEST_PID
+        and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+        and signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+        and not blocked
+    ):
+        raise RuntimeError("a scan chunk ran outside a clean pool worker")
+    return _WALK_CHUNK(starts)
 
 
 _TEST_PID = os.getpid()
@@ -414,15 +401,14 @@ def test_pool_workers_do_not_inherit_the_scan_sigterm_handler(monkeypatch):
     # that kept a Python-level handler would not die of SIGTERM as it should
     # (a flag-only one would ignore it), and one that kept SIGINT's would
     # print a traceback on every Ctrl-C
-    monkeypatch.setattr(search, "_classify_chunk", _sigterm_probe)
+    serial = sector_scan(EISENSTEIN, 20_000, jobs=1)
+    monkeypatch.setattr(search, "_walk_chunk", _sigterm_probe)
     previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
     try:
-        chunks = search._chunks(EISENSTEIN, 20_000)
-        assert len(chunks) > 1
         report = sector_scan(EISENSTEIN, 20_000, jobs=2)
     finally:
         signal.signal(signal.SIGTERM, previous)
-    assert report.scanned == len(chunks)
+    assert (report.scanned, report.findings) == (serial.scanned, serial.findings)
 
 
 class TestNormPerfectPrimes:
@@ -649,3 +635,48 @@ class TestRationalPerfectRemark:
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             check_rational_perfect_remark(2)
+
+
+# sha256 of each scan's output at norm 2*10^4, recorded before the walk
+# replaced per-class factoring: the JSON with its wall_time item cut out,
+# and the --csv text.  Any change to a scan's output fails here.
+_GOLDEN_SCAN_DIGESTS = {
+    ("gaussian", "search-odd"): (
+        "2e985ebea1708687831a267ce2af20d799a18ba5003fede282d2aaf0e3631c9e",
+        "f6c3e743fd27ea6dc86664f981285d2a2af36b9a0456a425bd601395aaef062a",
+    ),
+    ("gaussian", "search-even"): (
+        "c5b394b76f6ffebef6f00815584a61794ceaee26ab52325cb743efd217740c54",
+        "0f1bddae963805ac6df4c77de32c776ce16585360958e2277fb1f232a1fcb8f3",
+    ),
+    ("gaussian", "search-even --prune"): (
+        "4814ff2a9c5bc3a4f1d0e7cc50d40cea064e8773cff9d1114f2b8e9d5f77dcd5",
+        "0a631eb0922362c8eb652bd9064305cb6b42b6f089a96bd724c03a3b0331cfc5",
+    ),
+    ("eisenstein", "search-odd"): (
+        "cf875039c4d244d6a749ee2346b210c1e33a956103c11f4ae2dcd2e119337a2d",
+        "f3aa74993ee1c310f2310c90fd18110cfac95c8a5a56aaa836c4f504ab0e659e",
+    ),
+    ("eisenstein", "search-even"): (
+        "d7c4ce5b154ef0c288b0b8ad34a1671cdc59232ad349ca9d49559cdf63da8c73",
+        "35d1b113eebb20878c54e0e94a078f8cbfe60e609135e07ac78bc479161f58bd",
+    ),
+    ("eisenstein", "search-even --prune"): (
+        "ef83ecefb11b7feafe9f392afea1eb90ead792da219375158d19453c2d2537f8",
+        "41d8103e1d568384151f7f7565ae9e1f617ab71ffffcfef066840279d40f3ed0",
+    ),
+}
+
+
+@pytest.mark.parametrize("ring, command", list(_GOLDEN_SCAN_DIGESTS))
+def test_scan_outputs_match_golden_digests(ring, command, capsys):
+    want = _GOLDEN_SCAN_DIGESTS[ring, command]
+    for jobs in ("1", "2"):
+        argv = [*command.split(), "--ring", ring, "--max-norm", "20000", "--jobs", jobs]
+        texts = []
+        for extra in ([], ["--csv"]):
+            assert cli.main(argv + extra) == 0
+            texts.append(capsys.readouterr().out)
+        texts[0] = re.sub(r', "wall_time": [0-9.e-]+', "", texts[0])
+        got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
+        assert got == want, jobs
