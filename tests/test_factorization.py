@@ -3,6 +3,8 @@ from math import isqrt
 
 import pytest
 
+from cycloperfect import search
+from cycloperfect.divisors import classify
 from cycloperfect.factorization import (
     _conjugate_prime,
     factor,
@@ -15,7 +17,7 @@ from cycloperfect.rational import (
     smallest_prime_factor_sieve,
 )
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
-from cycloperfect.search import iter_sector
+from cycloperfect.search import ScanInvariantError, iter_sector
 from peeling import peel_factor
 
 
@@ -189,7 +191,7 @@ class TestFactor:
     def test_recomposition_sweep(self):
         bound = 5_000
         from cycloperfect.rational import factor_with_sieve
-        from cycloperfect.search import iter_sector
+        from cycloperfect.search import ScanInvariantError, iter_sector
 
         for ring in Ring:
             spf = smallest_prime_factor_sieve(bound)
@@ -272,3 +274,98 @@ _WRONG_NORM_MESSAGES = {
 def test_wrong_norm_factors_raise(x, norm_factors, kind):
     with pytest.raises(ArithmeticError, match=_WRONG_NORM_MESSAGES[kind]):
         factor(x, norm_factors=norm_factors)
+
+
+def _claim(fac):
+    """fac's (prime, exponent) pairs, the claim of a factorization."""
+    return list(fac.factors)
+
+
+def _certify(x, claim):
+    """x's finding built as a sector scan builds a class: the prime table
+    rows (search._prime_rows) of the claimed primes, the minimal prime
+    first, taken at the claimed exponents and multiplied together, then
+    checked by search._finding against x's norm and the norm of its sigma."""
+    ring = x.ring
+    least = ring.minimal_prime
+    claim = sorted(claim, key=lambda term: term[0] != least)  # stable
+    start = int(not claim or claim[0][0] != least)
+    triples = [(ring.residue_char, least.a, least.b)] * start
+    triples += [(p.norm(), p.a, p.b) for p, _ in claim]
+    bound = max([ring.residue_char] + [p.norm() ** k for p, k in claim])
+    rows = search._prime_rows(ring, bound, triples)
+    y = s = QuadInt(ring, 1)
+    for row, (_, k) in zip(rows[start:], claim):
+        _pn, _psn, pa, pb, qa, qb = row[k - 1]
+        y, s = y * QuadInt(ring, pa, pb), s * QuadInt(ring, qa, qb)
+    sn = classify(x, factorization=factor(x)).sigma_norm
+    return search._finding(ring, x.norm(), sn, y.a, y.b, s.a, s.b)
+
+
+def _shifted(claim):
+    # (1+i)^5 does not divide x
+    bump = {g(1, 1): 1}
+    return [(p, k + bump.get(p, 0)) for p, k in claim]
+
+
+def _swapped(claim):
+    # (1+2i)^3 (2+i)^2 has the norm of (2+i)^3 (1+2i)^2 but not its sigma norm
+    swap = {g(2, 1): g(1, 2), g(1, 2): g(2, 1)}
+    return [(swap.get(p, p), k) for p, k in claim]
+
+
+def _repeated(claim):
+    # (2+i) * (2+i) divides x, but is one prime claimed twice
+    return claim + [(g(2, 1), 1)]
+
+
+def _cofactor(claim):
+    # without 3 the claim leaves 3 of x unaccounted for
+    return [t for t in claim if t[0] != g(3)]
+
+
+def _associate(claim):
+    # 2-i is an associate of 1+2i, not its sector representative
+    return [(g(2, -1) if p == g(1, 2) else p, k) for p, k in claim]
+
+
+class TestClaim:
+    # x = (2+i)^3 * (1+2i)^2 * 3 * (1+i)^4 up to a unit
+    X = g(2, 1) ** 3 * g(1, 2) ** 2 * g(3) * g(1, 1) ** 4
+
+    def test_a_true_claim_gives_the_peeled_factorization(self):
+        # the table rows of peeling's factorization, in any order, build the
+        # sector associate of x and the sigma that classify builds from it
+        rng = random.Random(53)
+        for ring in Ring:
+            for _ in range(300):
+                x = QuadInt(ring, rng.randint(-300, 300), rng.randint(-300, 300))
+                if x:
+                    fac = peel_factor(x)
+                    f = _certify(x, _claim(fac)[::-1])
+                    _unit, y = x.sector_canonical()
+                    cls = classify(y, factorization=peel_factor(y))
+                    assert (f.element, f.sigma, f.sigma_norm, f.perfect) == (
+                        y,
+                        cls.sigma,
+                        cls.sigma_norm,
+                        cls.perfect,
+                    ), x
+
+    # a zero exponent has no counterpart: every table row is a power j >= 1
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_shifted, "do not fit"),
+            (_swapped, "do not fit"),
+            (_repeated, "repeats a prime"),
+            (_cofactor, "do not fit"),
+            (_associate, "is not in the sector"),
+        ],
+        ids=["shifted", "swapped", "repeated", "cofactor", "associate"],
+    )
+    def test_a_wrong_claim_raises(self, edit, message):
+        claim = _claim(factor(self.X))
+        assert _certify(self.X, claim).element == self.X.sector_canonical()[1]
+        with pytest.raises(ScanInvariantError, match=message):
+            _certify(self.X, edit(claim))
