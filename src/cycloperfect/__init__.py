@@ -38,7 +38,6 @@ from .rings import (
     parse_element,
 )
 from .search import (
-    Finding,
     OddFormReport,
     SearchReport,
     check_rational_perfect_remark,
@@ -56,7 +55,6 @@ __all__ = [
     "Classification",
     "EISENSTEIN",
     "Factorization",
-    "Finding",
     "GAUSSIAN",
     "MersenneRecord",
     "OddFormReport",

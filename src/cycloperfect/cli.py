@@ -30,7 +30,7 @@ from .cyclotomic import (
     splitting_pattern_check,
     validate_general_odd_form,
 )
-from .divisors import classify, sigma
+from .divisors import classify, json_rows, sigma
 from .factorization import factor
 from .mersenne import scan
 from .rational import (
@@ -158,9 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--residue-filter", type=_residue_set, default=None)
     p.add_argument("--jobs", type=_jobs, default=None)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true")
     p.add_argument("--progress", action="store_true")
 
     for name, parity in (("search-even", "even"), ("search-odd", "odd")):
@@ -170,9 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-norm", type=int, required=True)
         p.add_argument("--jobs", type=_jobs, default=None)
         p.add_argument("--progress", action="store_true")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-        fmt.add_argument("--csv", action="store_true")
+        p.add_argument("--csv", action="store_true")
         if parity == "even":
             p.add_argument(
                 "--prune",
@@ -239,8 +235,11 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_classify(args) -> int:
     x = _parse_nonzero(args.element, args.ring)
-    cls = classify(x, check_primitive=args.primitive)
-    _emit(cls.to_json(), args.pretty)
+    (text,) = json_rows(x.ring, [classify(x, check_primitive=args.primitive)], with_unit=False)
+    if args.pretty:
+        _emit(json.loads(text), True)
+    else:
+        print(text)
     return EXIT_OK
 
 

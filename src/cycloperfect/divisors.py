@@ -6,13 +6,15 @@ division ever happens.  A unit has the empty factorization and sigma 1.
 
 An element x is perfect when sigma(x) equals minimal_prime * x exactly,
 norm-perfect when that equality holds after taking norms, and abundant or
-deficient according to the strict inequality direction.
+deficient according to the strict inequality direction.  classify and the
+sector scans both hand back a Classification, a row of integers; _status is
+the one rule from norms to status and json_rows the one JSON writer.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .factorization import Factorization, factor, is_ring_prime
 from .rings import QuadInt, Ring
@@ -29,28 +31,84 @@ class Status(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Classification:
-    element: QuadInt
-    even: bool
-    status: Status
-    perfect: bool
-    primitive: bool | None
-    sigma: QuadInt
-    norm: int
-    sigma_norm: int
+def _status(char: int, norm: int, sigma_norm: int) -> Status:
+    """The status of x from its norm, the residue characteristic (the norm
+    of the minimal prime) and the norm of sigma(x)."""
+    target = char * norm
+    if sigma_norm < target:
+        return Status.DEFICIENT
+    if sigma_norm == target:
+        return Status.NORM_PERFECT
+    return Status.ABUNDANT
 
-    def to_json(self) -> dict:
-        return {
-            "element": self.element.to_json(),
-            "even": self.even,
-            "status": self.status.value,
-            "perfect": self.perfect,
-            "primitive": self.primitive,
-            "sigma": self.sigma.to_json(),
-            "norm": str(self.norm),
-            "sigma_norm": str(self.sigma_norm),
-        }
+
+class Classification(NamedTuple):
+    """x = a + b*theta classified as a row of integers: its sigma
+    sigma_a + sigma_b*theta, both norms, whether sigma equals
+    minimal_prime * x and, when checked, whether a norm-perfect x is
+    primitive.  The field order makes a plain sort of a scan's rows the
+    report order (norm, a, b)."""
+
+    norm: int
+    a: int
+    b: int
+    sigma_a: int
+    sigma_b: int
+    sigma_norm: int
+    perfect: bool
+    ring: Ring
+    primitive: bool | None = None
+
+    @property
+    def element(self) -> QuadInt:
+        return QuadInt(self.ring, self.a, self.b)
+
+    @property
+    def sigma(self) -> QuadInt:
+        return QuadInt(self.ring, self.sigma_a, self.sigma_b)
+
+    @property
+    def even(self) -> bool:
+        return (self.a + self.b) % self.ring.residue_char == 0
+
+    @property
+    def status(self) -> Status:
+        return _status(self.ring.residue_char, self.norm, self.sigma_norm)
+
+    @property
+    def perfect_unit(self) -> QuadInt | None:
+        """The unit u for which u*x is perfect, for a norm-perfect x whose
+        associate class holds a perfect element; else None."""
+        if self.status is not Status.NORM_PERFECT:
+            return None
+        return perfect_associate_unit(self.element, self.sigma)
+
+
+_JSON_LITERAL = {False: "false", True: "true", None: "null"}
+
+
+def json_rows(ring: Ring, rows, *, with_unit: bool) -> list[str]:
+    """The json.dumps(..., sort_keys=True) text of each Classification of the
+    ring, written straight from its integers; with_unit adds the
+    perfect_unit key of the scan reports."""
+    name = ring.value
+    char = ring.residue_char
+    no_unit = '"perfect_unit": null, ' if with_unit else ""
+    texts = []
+    for row in rows:
+        norm, a, b, sa, sb, sn, perfect, _, primitive = row
+        status = _status(char, norm, sn)
+        unit = no_unit
+        if with_unit and status is Status.NORM_PERFECT and (u := row.perfect_unit) is not None:
+            unit = f'"perfect_unit": {{"a": "{u.a}", "b": "{u.b}", "ring": "{name}"}}, '
+        texts.append(
+            f'{{"element": {{"a": "{a}", "b": "{b}", "ring": "{name}"}}, '
+            f'"even": {_JSON_LITERAL[(a + b) % char == 0]}, "norm": "{norm}", '
+            f'"perfect": {_JSON_LITERAL[perfect]}, {unit}"primitive": {_JSON_LITERAL[primitive]}, '
+            f'"sigma": {{"a": "{sa}", "b": "{sb}", "ring": "{name}"}}, '
+            f'"sigma_norm": "{sn}", "status": "{status.value}"}}'
+        )
+    return texts
 
 
 def _geometric_sum(pi: QuadInt, e: int) -> QuadInt:
@@ -142,7 +200,8 @@ def classify(
     *,
     factorization: Factorization | None = None,
 ) -> Classification:
-    """Classify x exactly.
+    """Classify x exactly; the row holds x itself, not the sector
+    representative of its class.
 
     factorization may carry factor(x) precomputed; it is used as given, so
     a correct one changes only the cost, never the result.
@@ -154,26 +213,11 @@ def classify(
     n = x.norm()
     ns = sig.norm()
     c = x.ring.residue_char  # == norm of the minimal prime
-    if ns < c * n:
-        status = Status.DEFICIENT
-    elif ns == c * n:
-        status = Status.NORM_PERFECT
-    else:
-        status = Status.ABUNDANT
     perfect = sig == x.ring.minimal_prime * x
     primitive: bool | None = None
-    if check_primitive and status is Status.NORM_PERFECT:
+    if check_primitive and _status(c, n, ns) is Status.NORM_PERFECT:
         primitive = _is_primitive(fac, c)
-    return Classification(
-        element=x,
-        even=x.is_even(),
-        status=status,
-        perfect=perfect,
-        primitive=primitive,
-        sigma=sig,
-        norm=n,
-        sigma_norm=ns,
-    )
+    return Classification(n, x.a, x.b, sig.a, sig.b, ns, perfect, x.ring, primitive)
 
 
 def perfect_associate_unit(x: QuadInt, sig: QuadInt) -> QuadInt | None:

@@ -4,8 +4,9 @@ Sector scans visit exactly one representative per associate class
 (Gaussian a > 0, b >= 0; Eisenstein a > b >= 0) without factoring any: a
 depth-first walk over the table of sector primes builds each class from
 its prime powers, carrying its norm and the norm of its sigma as integers
-(_walk_chunk).  Every non-deficient class becomes a Finding, a row of
-integers, and the report writes its JSON text straight from the rows.  The
+(_walk_chunk).  Every non-deficient class becomes a finding, the
+divisors.Classification row of integers that classify returns too, and the
+report writes its JSON text straight from the rows (divisors.json_rows).  The
 number of classes visited must equal an independent count of the region
 (count_sector_classes).  Workers return their rows and the parent sorts
 them, so reports are identical no matter how many processes run."""
@@ -17,13 +18,13 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
-from typing import NamedTuple
 
 from .divisors import (
+    Classification,
     Status,
     classify,
     divisor_sum_from_factorization,
-    perfect_associate_unit,
+    json_rows,
     sigma_from_factorization,
 )
 from .factorization import Factorization, factor
@@ -59,26 +60,28 @@ def a_range(ring: Ring, bound: int) -> range:
     return range(1, isqrt(4 * bound // 3) + 2)
 
 
+def _strip(ring: Ring, bound: int, a: int) -> range:
+    """The b of the sector points a + b*theta with norm <= bound.  The
+    Eisenstein strip at a holds the b in [0, a) with
+    (2b - a)**2 <= 4*bound - 3*a**2."""
+    if ring is Ring.GAUSSIAN:
+        return range(isqrt(bound - a * a) + 1 if a * a <= bound else 0)
+    disc = 4 * bound - 3 * a * a
+    if disc < 0:
+        return range(0)
+    r = isqrt(disc)
+    return range(max(0, (a - r + 1) // 2), min(a - 1, (a + r) // 2) + 1)
+
+
 def strip_points(ring: Ring, bound: int, a: int):
     """Yield (b, norm) for the sector points in the strip at this a."""
+    aa = a * a
     if ring is Ring.GAUSSIAN:
-        aa = a * a
-        if aa > bound:
-            return
-        for b in range(isqrt(bound - aa) + 1):
+        for b in _strip(ring, bound, a):
             yield b, aa + b * b
     else:
-        aa = a * a
-        disc = 4 * bound - 3 * aa
-        if disc < 0:
-            return
-        s = isqrt(disc)
-        b_lo = max(0, (a - s) // 2 - 1)
-        b_hi = min(a - 1, (a + s) // 2 + 1)
-        for b in range(b_lo, b_hi + 1):
-            n = aa - a * b + b * b
-            if n <= bound:
-                yield b, n
+        for b in _strip(ring, bound, a):
+            yield b, aa - a * b + b * b
 
 
 def iter_sector(ring: Ring, bound: int):
@@ -90,17 +93,8 @@ def iter_sector(ring: Ring, bound: int):
 
 def count_sector_classes(ring: Ring, bound: int) -> int:
     """Sector classes with 0 < norm <= bound, summed strip by strip in
-    O(sqrt(bound)): the Eisenstein strip at a holds the b in [0, a) with
-    (2b - a)**2 <= 4*bound - 3*a**2."""
-    if ring is Ring.GAUSSIAN:
-        return sum(isqrt(bound - a * a) + 1 for a in a_range(ring, bound))
-    count = 0
-    for a in a_range(ring, bound):
-        disc = 4 * bound - 3 * a * a
-        if disc >= 0:
-            r = isqrt(disc)
-            count += max(0, min(a - 1, (a + r) // 2) - max(0, (a - r + 1) // 2) + 1)
-    return count
+    O(sqrt(bound))."""
+    return sum(len(_strip(ring, bound, a)) for a in a_range(ring, bound))
 
 
 def count_lattice_points(ring: Ring, bound: int) -> int:
@@ -217,10 +211,7 @@ def _chunks(ring: Ring, bound: int) -> list[tuple[int, int]]:
     for a in rng:
         if start is None:
             start = a
-        if ring is Ring.GAUSSIAN:
-            points += isqrt(max(bound - a * a, 0)) + 1
-        else:
-            points += min(a, (isqrt(max(4 * bound - 3 * a * a, 0)) + a) // 2 + 1)
+        points += len(_strip(ring, bound, a))
         if points >= _CHUNK_TARGET_POINTS:
             chunks.append((start, a + 1))
             start, points = None, 0
@@ -257,50 +248,7 @@ def _oracle_check(x: QuadInt, fac: Factorization, n: int) -> list[QuadInt]:
     return []
 
 
-class Finding(NamedTuple):
-    """A non-deficient class of a sector scan as a row of integers: the
-    class a + b*theta, its sigma sigma_a + sigma_b*theta, both norms and
-    whether sigma equals minimal_prime * x.  The field order makes a plain
-    sort the report order (norm, a, b)."""
-
-    norm: int
-    a: int
-    b: int
-    sigma_a: int
-    sigma_b: int
-    sigma_norm: int
-    perfect: bool
-    ring: Ring
-
-    @property
-    def element(self) -> QuadInt:
-        return QuadInt(self.ring, self.a, self.b)
-
-    @property
-    def sigma(self) -> QuadInt:
-        return QuadInt(self.ring, self.sigma_a, self.sigma_b)
-
-    @property
-    def even(self) -> bool:
-        return (self.a + self.b) % self.ring.residue_char == 0
-
-    @property
-    def status(self) -> Status:
-        return _status(self.ring.residue_char, self.norm, self.sigma_norm)
-
-
-def _status(char: int, norm: int, sigma_norm: int) -> Status:
-    """The class's status from its norm, the residue characteristic (the
-    norm of the minimal prime) and the norm of its sigma."""
-    target = char * norm
-    if sigma_norm < target:
-        return Status.DEFICIENT
-    if sigma_norm == target:
-        return Status.NORM_PERFECT
-    return Status.ABUNDANT
-
-
-def _finding(ring: Ring, n: int, sn: int, xa: int, xb: int, sa: int, sb: int) -> Finding:
+def _finding(ring: Ring, n: int, sn: int, xa: int, xb: int, sa: int, sb: int) -> Classification:
     """The finding of the class of x = xa + xb*theta, of norm n, whose sigma
     sa + sb*theta has norm sn: x turns into the sector, and both norms are
     checked on the pairs, or ScanInvariantError is raised."""
@@ -312,10 +260,10 @@ def _finding(ring: Ring, n: int, sn: int, xa: int, xb: int, sa: int, sb: int) ->
         raise ScanInvariantError(f"norms {n}, {sn} do not fit x {xa}, {xb}, sigma {sa}, {sb}")
     # minimal_prime * x: (1+i)(a+bi) resp. (2+w)(a+bw)
     perfect = sa == (1 + t) * xa - xb and sb == xa + xb
-    return Finding(n, xa, xb, sa, sb, sn, perfect, ring)
+    return Classification(n, xa, xb, sa, sb, sn, perfect, ring)
 
 
-def _walk_chunk(starts: list[tuple[int, int]]) -> tuple[int, list[Finding]]:
+def _walk_chunk(starts: list[tuple[int, int]]) -> tuple[int, list[Classification]]:
     """Visit the classes of each start (v, i): those of minimal-prime
     exponent v whose least other prime is the table's i-th, or for i = 0
     the root minimal_prime**v alone.  Returns (classes visited, findings).
@@ -329,7 +277,7 @@ def _walk_chunk(starts: list[tuple[int, int]]) -> tuple[int, list[Finding]]:
     t = int(ring is Ring.EISENSTEIN)
     char = ring.residue_char
     visited = 0
-    findings: list[Finding] = []
+    findings: list[Classification] = []
 
     def walk(lo, hi, n, sn, xa, xb, sa, sb):
         nonlocal visited
@@ -411,17 +359,6 @@ def sector_primes(ring: Ring, bound: int) -> list[QuadInt]:
     return [QuadInt(ring, a, b) for (_, _, a, b, _, _), *_ in _build_context(ring, bound)["rows"]]
 
 
-def perfect_unit(f: Finding) -> QuadInt | None:
-    """The unit u for which u*f.element is perfect, for a norm-perfect
-    finding whose associate class holds a perfect element; else None."""
-    if f.status is not Status.NORM_PERFECT:
-        return None
-    return perfect_associate_unit(f.element, f.sigma)
-
-
-_JSON_BOOL = ("false", "true")
-
-
 @dataclass(frozen=True)
 class SearchReport:
     ring: Ring
@@ -429,13 +366,13 @@ class SearchReport:
     parity: str
     scanned: int
     pruned: int
-    findings: tuple[Finding, ...]
+    findings: tuple[Classification, ...]
     wall_time: float
 
     def json_text(self, **extra) -> str:
         """The report as json.dumps({**self.to_json(), **extra},
-        sort_keys=True) writes it, built from the rows: json.dumps writes
-        each scalar key, one format string each finding."""
+        sort_keys=True) writes it: json.dumps writes each scalar key and
+        divisors.json_rows each finding."""
         head = {
             "ring": self.ring.value,
             "norm_bound": self.norm_bound,
@@ -451,22 +388,7 @@ class SearchReport:
         }
         before = "".join(text + ", " for key, text in items.items() if key < "findings")
         after = "".join(", " + text for key, text in items.items() if key > "findings")
-        name = self.ring.value
-        char = self.ring.residue_char
-        rows = []
-        for f in self.findings:
-            norm, a, b, sa, sb, sn, perfect, _ = f
-            status = _status(char, norm, sn)
-            unit = "null"
-            if status is Status.NORM_PERFECT and (u := perfect_unit(f)) is not None:
-                unit = f'{{"a": "{u.a}", "b": "{u.b}", "ring": "{name}"}}'
-            rows.append(
-                f'{{"element": {{"a": "{a}", "b": "{b}", "ring": "{name}"}}, '
-                f'"even": {_JSON_BOOL[(a + b) % char == 0]}, "norm": "{norm}", '
-                f'"perfect": {_JSON_BOOL[perfect]}, "perfect_unit": {unit}, '
-                f'"primitive": null, "sigma": {{"a": "{sa}", "b": "{sb}", "ring": "{name}"}}, '
-                f'"sigma_norm": "{sn}", "status": "{status.value}"}}'
-            )
+        rows = json_rows(self.ring, self.findings, with_unit=True)
         # one copy of the findings text, then one of the whole: each copy of
         # a large report adds its size to the peak
         return f'{{{before}"findings": [{", ".join(rows)}]{after}}}'
@@ -487,7 +409,7 @@ class SearchReport:
             ]
         ]
         for f in self.findings:
-            unit = perfect_unit(f)
+            unit = f.perfect_unit
             rows.append(
                 [
                     str(f.element),
@@ -540,7 +462,7 @@ def sector_scan(
             continue
         starts += [(v, i) for i in range(bisect_right(norms, limit, 1, len(norms) - 1))]
     scanned = pruned
-    findings: list[Finding] = []
+    findings: list[Classification] = []
     work = [starts[k::_WALK_CHUNKS] for k in range(min(_WALK_CHUNKS, len(starts)))]
     for visited, fs in run_chunks(_walk_chunk, work, jobs):
         scanned += visited

@@ -1,8 +1,10 @@
+import hashlib
 import json
+import random
 
 import pytest
 
-from cycloperfect import search
+from cycloperfect import cli
 from cycloperfect.cli import (
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
@@ -10,7 +12,10 @@ from cycloperfect.cli import (
     EXIT_SCAN_BREACH,
     main,
 )
+from cycloperfect.divisors import classify
+from cycloperfect.rings import GAUSSIAN, QuadInt
 from cycloperfect.search import SearchReport
+from classification_json import reference_json
 from table_faults import FAULTS
 
 
@@ -63,6 +68,25 @@ class TestElementCommands:
     def test_classify_primitive_flag(self, capsys):
         obj = run_json(capsys, "classify", "--ring", "gaussian", "2+1i", "--primitive")
         assert obj["primitive"] is True
+        obj = run_json(capsys, "classify", "--ring", "gaussian", "2+1i")
+        assert obj["primitive"] is None
+        obj = run_json(capsys, "classify", "--ring", "eisenstein", "3+3w", "--primitive")
+        assert (obj["status"], obj["primitive"]) == ("abundant", None)
+
+    @pytest.mark.parametrize("primitive", [True, False, None])
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_classify_output_is_the_reference_json(self, capsys, monkeypatch, primitive, pretty):
+        # no norm-perfect class up to norm 2*10^5 is imprimitive, so the
+        # false row is the 2+i row with its primitive field replaced
+        x = QuadInt(GAUSSIAN, 2, 1)
+        cls = classify(x, check_primitive=True)._replace(primitive=primitive)
+        monkeypatch.setattr(cli, "classify", lambda *args, **kwargs: cls)
+        argv = ["classify", "--ring", "gaussian", "2+1i"]
+        code, out, _err = run(capsys, *(["--pretty"] if pretty else []), *argv)
+        assert code == EXIT_OK
+        want = reference_json(cls)
+        assert want["primitive"] is primitive
+        assert out == json.dumps(want, sort_keys=True, indent=2 if pretty else None) + "\n"
 
     def test_sigma(self, capsys):
         obj = run_json(capsys, "sigma", "--ring", "eisenstein", "3+3w")
@@ -121,6 +145,15 @@ class TestMersenneCommand:
 
 
 class TestSearchCommands:
+    @pytest.mark.parametrize("command", ["mersenne", "search-even", "search-odd"])
+    def test_json_is_not_an_option(self, capsys, command):
+        # JSON is the only output besides --csv, so there is no flag for it
+        bound = "--max-k" if command == "mersenne" else "--max-norm"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--ring", "gaussian", bound, "10", "--json"])
+        assert exc.value.code == EXIT_PARSE_ERROR
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
     def test_search_odd_gaussian(self, capsys):
         obj = run_json(
             capsys, "search-odd", "--ring", "gaussian", "--max-norm", "30", "--jobs", "1"
@@ -288,3 +321,46 @@ def test_jobs_must_be_a_positive_integer(capsys, argv, jobs):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.endswith(f"error: argument --jobs: jobs must be a positive integer, not '{jobs}'\n")
+
+
+def _digest_elements(ring: str) -> list[str]:
+    """100 seeded nonzero elements of the ring, negative coordinates included,
+    then the norm-perfect element of the k = 7 (Z[i]) resp. k = 11 (Z[w])
+    construction."""
+    from cycloperfect.mersenne import candidate_factorization
+    from cycloperfect.rings import Ring
+
+    rng = random.Random(f"element digests {ring}")
+    xs = []
+    while len(xs) < 100:
+        x = QuadInt(Ring(ring), rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+        if x:
+            xs.append(x)
+    k = 7 if ring == "gaussian" else 11
+    xs.append(candidate_factorization(Ring(ring), k, "conjugated")[0])
+    return [str(x) for x in xs]
+
+
+# sha256 of the concatenated output of each element command over the
+# elements of _digest_elements, recorded before classify and the scans
+# shared one classification row.  Any change to their output fails here.
+_GOLDEN_ELEMENT_DIGESTS = {
+    ("gaussian", "factor"): "db0d44e7066609adf63fbff36dd74402e8de0b6b67648d3c2c9381930c3dfb22",
+    ("gaussian", "sigma"): "c2954e22234e491f93e207239bb5bc77d489ecb54692a7fa3407da2f4fd4edab",
+    ("gaussian", "classify"): "1206ac71163a422d1a18f04632983b8a6395cf58641aa111d841ec783cf500fd",
+    ("gaussian", "classify --primitive"): "08c15f3f6fe1b2f08dd5baeb9195a2a6a62952d57d6ee937f308680ebd02f691",
+    ("eisenstein", "factor"): "0ffeda82eabe30001c0d5aff6321bb93fd515117e8f0f6fc489d69a6e3b53cb2",
+    ("eisenstein", "sigma"): "2cae306ed5c1f5acdd669d277102cdeb118fd2baa7795721dee5e1757b371d77",
+    ("eisenstein", "classify"): "8f0e6751ae05adbb716efa00b9809b945dcc9337cede990d1a1b330b7d0d3a26",
+    ("eisenstein", "classify --primitive"): "d47e428af4b2a7124eea6404f518fafcf91e0d268dbeacc629ffa791136251c8",
+}
+
+
+@pytest.mark.parametrize("ring, command", list(_GOLDEN_ELEMENT_DIGESTS))
+def test_element_outputs_match_golden_digests(ring, command, capsys):
+    name, *flags = command.split()
+    digest = hashlib.sha256()
+    for text in _digest_elements(ring):
+        assert main([name, "--ring", ring, *flags, text]) == EXIT_OK, text
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _GOLDEN_ELEMENT_DIGESTS[ring, command]

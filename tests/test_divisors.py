@@ -6,16 +6,19 @@ from cycloperfect import divisors
 from cycloperfect.divisors import (
     Status,
     _is_primitive,
+    _status,
     check_mcdaniel_inequality,
     check_odd_power_divisibility,
     check_spira_inequality,
     classify,
     divisor_sum_from_factorization,
+    json_rows,
     sigma,
     sigma_from_factorization,
 )
 from cycloperfect.factorization import factor
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring, gcd
+from classification_json import reference_text
 
 
 def e(a, b=0):
@@ -146,10 +149,37 @@ class TestClassify:
             classify(g(0))
 
     def test_json_shape(self):
-        obj = classify(g(2, 1)).to_json()
-        assert obj["status"] == "norm_perfect"
-        assert obj["norm"] == "5" and obj["sigma_norm"] == "10"
-        assert obj["primitive"] is None
+        rows = [
+            classify(g(2, 1)),
+            classify(g(2, 1), check_primitive=True),
+            classify(e(-3, 3)),
+            classify(g(-7, -8)),
+            classify(e(1)),
+        ]
+        for ring in Ring:
+            mine = [row for row in rows if row.ring is ring]
+            assert json_rows(ring, mine, with_unit=False) == [reference_text(r) for r in mine]
+            units = [r.perfect_unit for r in mine]
+            assert json_rows(ring, mine, with_unit=True) == [
+                reference_text(r, u) for r, u in zip(mine, units)
+            ]
+        assert json_rows(GAUSSIAN, [], with_unit=True) == []
+
+    def test_row_reads_like_the_element(self):
+        x = g(-7, -8)
+        cls = classify(x)
+        assert (cls.element, cls.sigma, cls.even) == (x, sigma(x), x.is_even())
+        assert cls.norm == x.norm() and cls.sigma_norm == sigma(x).norm()
+
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_status_at_the_threshold(self, ring):
+        # deficient when N(sigma) < N(minimal) * N(x), norm-perfect at
+        # equality, abundant above
+        c = ring.minimal_prime.norm()
+        for n in (1, 5, 7, 12, 10**30 + 1):
+            assert _status(c, n, c * n - 1) is Status.DEFICIENT
+            assert _status(c, n, c * n) is Status.NORM_PERFECT
+            assert _status(c, n, c * n + 1) is Status.ABUNDANT
 
     def test_is_primitive_detects_normperfect_divisor(self):
         # any lattice containing the 2+i class has a norm-perfect divisor

@@ -6,6 +6,7 @@ import os
 import random
 import re
 import signal
+from bisect import bisect_right
 from math import isqrt
 
 import pytest
@@ -23,7 +24,6 @@ from cycloperfect.mersenne import NORM_PERFECT_K_RESIDUES, candidate_factorizati
 from cycloperfect.mersenne import scan as mersenne_scan
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
 from cycloperfect.search import (
-    Finding,
     ScanInvariantError,
     SearchReport,
     check_rational_perfect_remark,
@@ -39,6 +39,7 @@ from cycloperfect.search import (
     validate_ward_form,
 )
 from cycloperfect.verify import DEFAULTS, _check_recomposition_sweep, sector_primes
+from classification_json import reference_json
 from peeling import peel_factor
 from table_faults import FAULTS
 
@@ -49,12 +50,6 @@ def e(a, b=0):
 
 def g(a, b=0):
     return QuadInt(GAUSSIAN, a, b)
-
-
-def _finding(cls):
-    """The scan's row for a Classification."""
-    x, sig = cls.element, cls.sigma
-    return Finding(cls.norm, x.a, x.b, sig.a, sig.b, cls.sigma_norm, cls.perfect, x.ring)
 
 
 class TestEnumeration:
@@ -78,9 +73,23 @@ class TestEnumeration:
                 assert points == classes * ring.unit_count
 
     def test_strip_sum_counts_every_class(self):
+        # against the in_sector points of a box that holds every norm <= 3000
+        top = 3_000
+        m = isqrt(4 * top) + 2
         for ring in Ring:
-            for bound in range(3_001):
-                assert count_sector_classes(ring, bound) == sum(1 for _ in iter_sector(ring, bound))
+            box = sorted(
+                (x.norm(), a, b)
+                for a in range(-m, m + 1)
+                for b in range(-m, m + 1)
+                if (x := QuadInt(ring, a, b)).in_sector() and x.norm() <= top
+            )
+            norms = [n for n, _, _ in box]
+            for bound in range(top + 1):
+                want = bisect_right(norms, bound)
+                assert count_sector_classes(ring, bound) == want, (ring, bound)
+            for bound in (0, 1, 2, 3, 4, 7, 100, 2_999, top):
+                points = sorted((n, a, b) for a, b, n in iter_sector(ring, bound))
+                assert points == box[: bisect_right(norms, bound)], (ring, bound)
 
     def test_expected_counts(self):
         # frozen from the lattice-count cross-check: 31416 / 4 and 36294 / 6
@@ -127,7 +136,7 @@ class TestSectorScan:
         assert report.findings
         for f in report.findings:
             again = classify(f.element)
-            assert f == _finding(again)
+            assert f == again
             assert (f.element, f.sigma, f.status, f.even) == (
                 again.element,
                 again.sigma,
@@ -176,11 +185,10 @@ class TestSectorScan:
             parity="all",
             scanned=1,
             pruned=0,
-            findings=(_finding(cls),),
+            findings=(cls,),
             wall_time=0.0,
         )
-        want = {**cls.to_json(), "perfect_unit": (-i).to_json()}
-        assert report.to_json()["findings"] == [want]
+        assert report.to_json()["findings"] == [reference_json(cls, -i)]
         assert report.csv_rows()[1][-1] == "0-1i"
 
 
@@ -238,7 +246,7 @@ class TestWalk:
             for prune in (False, True):
                 skipped = [prune and v > 0 and (v + 1) % 12 not in allowed for v, _ in kept]
                 want = [
-                    _finding(cls)
+                    cls
                     for (_, cls), skip in zip(kept, skipped)
                     if not skip and cls.status is not Status.DEFICIENT
                 ]
@@ -299,7 +307,7 @@ def _reference_scan(classes, parity, prune):
         unit = None
         if cls.status is Status.NORM_PERFECT:
             unit = perfect_associate_unit(x, cls.sigma)
-        finding = {**cls.to_json(), "perfect_unit": unit.to_json() if unit else None}
+        finding = reference_json(cls, unit)
         csv_row = [
             str(x),
             str(cls.norm),
