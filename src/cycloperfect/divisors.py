@@ -7,14 +7,15 @@ division ever happens.  A unit has the empty factorization and sigma 1.
 An element x is perfect when sigma(x) equals minimal_prime * x exactly,
 norm-perfect when that equality holds after taking norms, and abundant or
 deficient according to the strict inequality direction.  classify and the
-sector scans both hand back a Classification, a row of integers; _status is
-the one rule from norms to status and json_rows the one JSON writer.
+sector scans both hand back a Classification, x's coordinates with sigma(x)
+and the two norms; _status is the one rule from norms to status and
+json_rows the one JSON writer.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .factorization import Factorization, factor, is_ring_prime
 from .rings import QuadInt, Ring
@@ -42,34 +43,34 @@ def _status(char: int, norm: int, sigma_norm: int) -> Status:
     return Status.ABUNDANT
 
 
-class Classification(NamedTuple):
-    """x = a + b*theta classified as a row of integers: its sigma
-    sigma_a + sigma_b*theta, both norms, whether sigma equals
-    minimal_prime * x and, when checked, whether a norm-perfect x is
-    primitive.  The field order makes a plain sort of a scan's rows the
-    report order (norm, a, b)."""
+@dataclass(slots=True, order=True)
+class Classification:
+    """x = a + b*theta classified: sigma(x), both norms, whether sigma
+    equals minimal_prime * x and, when checked, whether a norm-perfect x is
+    primitive.  The field order makes the natural order (norm, a, b), a scan
+    report's order.  sigma is a field, so dataclasses.replace can build a
+    classification with a wrong sigma; the row is not frozen, as a frozen
+    dataclass's __init__ costs a scan about 1 us more per row."""
 
     norm: int
     a: int
     b: int
-    sigma_a: int
-    sigma_b: int
+    sigma: QuadInt
     sigma_norm: int
     perfect: bool
-    ring: Ring
     primitive: bool | None = None
+
+    @property
+    def ring(self) -> Ring:
+        return self.sigma.ring
 
     @property
     def element(self) -> QuadInt:
         return QuadInt(self.ring, self.a, self.b)
 
     @property
-    def sigma(self) -> QuadInt:
-        return QuadInt(self.ring, self.sigma_a, self.sigma_b)
-
-    @property
     def even(self) -> bool:
-        return (self.a + self.b) % self.ring.residue_char == 0
+        return self.element.is_even()
 
     @property
     def status(self) -> Status:
@@ -90,13 +91,15 @@ _JSON_LITERAL = {False: "false", True: "true", None: "null"}
 def json_rows(ring: Ring, rows, *, with_unit: bool) -> list[str]:
     """The json.dumps(..., sort_keys=True) text of each Classification of the
     ring, written straight from its integers; with_unit adds the
-    perfect_unit key of the scan reports."""
+    perfect_unit key of the scan reports.  The parity test is written out
+    here rather than read from the even property, which would build a
+    QuadInt per row."""
     name = ring.value
     char = ring.residue_char
     no_unit = '"perfect_unit": null, ' if with_unit else ""
     texts = []
     for row in rows:
-        norm, a, b, sa, sb, sn, perfect, _, primitive = row
+        norm, a, b, sn, sig = row.norm, row.a, row.b, row.sigma_norm, row.sigma
         status = _status(char, norm, sn)
         unit = no_unit
         if with_unit and status is Status.NORM_PERFECT and (u := row.perfect_unit) is not None:
@@ -104,8 +107,8 @@ def json_rows(ring: Ring, rows, *, with_unit: bool) -> list[str]:
         texts.append(
             f'{{"element": {{"a": "{a}", "b": "{b}", "ring": "{name}"}}, '
             f'"even": {_JSON_LITERAL[(a + b) % char == 0]}, "norm": "{norm}", '
-            f'"perfect": {_JSON_LITERAL[perfect]}, {unit}"primitive": {_JSON_LITERAL[primitive]}, '
-            f'"sigma": {{"a": "{sa}", "b": "{sb}", "ring": "{name}"}}, '
+            f'"perfect": {_JSON_LITERAL[row.perfect]}, {unit}"primitive": {_JSON_LITERAL[row.primitive]}, '
+            f'"sigma": {{"a": "{sig.a}", "b": "{sig.b}", "ring": "{name}"}}, '
             f'"sigma_norm": "{sn}", "status": "{status.value}"}}'
         )
     return texts
@@ -217,7 +220,7 @@ def classify(
     primitive: bool | None = None
     if check_primitive and _status(c, n, ns) is Status.NORM_PERFECT:
         primitive = _is_primitive(fac, c)
-    return Classification(n, x.a, x.b, sig.a, sig.b, ns, perfect, x.ring, primitive)
+    return Classification(n, x.a, x.b, sig, ns, perfect, primitive)
 
 
 def perfect_associate_unit(x: QuadInt, sig: QuadInt) -> QuadInt | None:

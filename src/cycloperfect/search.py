@@ -5,8 +5,8 @@ Sector scans visit exactly one representative per associate class
 depth-first walk over the table of sector primes builds each class from
 its prime powers, carrying its norm and the norm of its sigma as integers
 (_walk_chunk).  Every non-deficient class becomes a finding, the
-divisors.Classification row of integers that classify returns too, and the
-report writes its JSON text straight from the rows (divisors.json_rows).  The
+divisors.Classification row that classify returns too, and the report
+writes its JSON text straight from the rows (divisors.json_rows).  The
 number of classes visited must equal an independent count of the region
 (count_sector_classes).  Workers return their rows and the parent sorts
 them, so reports are identical no matter how many processes run."""
@@ -18,6 +18,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
+from operator import attrgetter
 
 from .divisors import (
     Classification,
@@ -260,7 +261,7 @@ def _finding(ring: Ring, n: int, sn: int, xa: int, xb: int, sa: int, sb: int) ->
         raise ScanInvariantError(f"norms {n}, {sn} do not fit x {xa}, {xb}, sigma {sa}, {sb}")
     # minimal_prime * x: (1+i)(a+bi) resp. (2+w)(a+bw)
     perfect = sa == (1 + t) * xa - xb and sb == xa + xb
-    return Classification(n, xa, xb, sa, sb, sn, perfect, ring)
+    return Classification(n, xa, xb, QuadInt(ring, sa, sb), sn, perfect)
 
 
 def _walk_chunk(starts: list[tuple[int, int]]) -> tuple[int, list[Classification]]:
@@ -477,7 +478,7 @@ def sector_scan(
         raise ScanInvariantError(
             f"scanned {scanned} of the {want} {parity} classes of norm <= {norm_bound}"
         )
-    findings.sort()
+    findings.sort(key=attrgetter("norm", "a", "b"))
     return SearchReport(
         ring=ring,
         norm_bound=norm_bound,

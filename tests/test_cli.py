@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -79,7 +80,7 @@ class TestElementCommands:
         # no norm-perfect class up to norm 2*10^5 is imprimitive, so the
         # false row is the 2+i row with its primitive field replaced
         x = QuadInt(GAUSSIAN, 2, 1)
-        cls = classify(x, check_primitive=True)._replace(primitive=primitive)
+        cls = dataclasses.replace(classify(x, check_primitive=True), primitive=primitive)
         monkeypatch.setattr(cli, "classify", lambda *args, **kwargs: cls)
         argv = ["classify", "--ring", "gaussian", "2+1i"]
         code, out, _err = run(capsys, *(["--pretty"] if pretty else []), *argv)
