@@ -329,7 +329,8 @@ def _cyc_coeffs(text: str) -> list[int]:
         coeffs = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ElementParseError(f"bad coefficient list: {exc}")
-    if not isinstance(coeffs, list) or not all(isinstance(c, int) for c in coeffs):
+    # bool is a subclass of int, but true is no JSON integer
+    if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
         raise ElementParseError("coefficients must be a JSON list of integers")
     return coeffs
 

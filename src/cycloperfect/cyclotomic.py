@@ -396,13 +396,16 @@ class AbstractOddFactorization:
 
     @staticmethod
     def from_json(obj: dict) -> "AbstractOddFactorization":
-        return AbstractOddFactorization(
-            int(obj["p"]),
-            tuple(
-                (int(f["j"]), int(f["e"]), bool(f["special"]))
-                for f in obj["entries"]
-            ),
-        )
+        """The form from parsed JSON, whose p, j and e must be JSON integers
+        and special a JSON boolean, or TypeError is raised."""
+        entries = tuple((f["j"], f["e"], f["special"]) for f in obj["entries"])
+        # type() tests, as bool is a subclass of int
+        if type(obj["p"]) is not int or not all(
+            type(j) is int and type(e) is int and type(special) is bool
+            for j, e, special in entries
+        ):
+            raise TypeError("p, j and e must be JSON integers and special a JSON boolean")
+        return AbstractOddFactorization(obj["p"], entries)
 
 
 def validate_general_odd_form(

@@ -64,9 +64,10 @@ def is_ring_prime(x: QuadInt) -> bool:
 
 
 def _theta_root(q: int, ring: Ring) -> int:
-    """c with N(c - theta) = c^2 + 1 resp. c^2 + c + 1 = 0 (mod the split
-    prime q): d^((q-1)/m), m = 4 resp. 3, for the first d that gives one."""
-    m = 4 if ring is Ring.GAUSSIAN else 3
+    """c with N(c - theta) = c^2 + t*c + 1 = 0 (mod the split prime q):
+    d^((q-1)/m), m = 4 - t the order of theta, for the first d that gives
+    one."""
+    m = 4 - ring.t
     for d in range(2, q):
         c = pow(d, (q - 1) // m, q)
         if QuadInt(ring, c, -1).norm() % q == 0:
@@ -96,14 +97,11 @@ def prime_above(q: int, ring: Ring) -> QuadInt:
 
 
 def _conjugate_prime(pi: QuadInt) -> QuadInt:
-    """The other sector prime above the split q = N(pi), for pi in the sector.
-
-    Gaussian: i * conj(a + b*i) = b + a*i.  Eisenstein: (1 + w) * conj(a + b*w)
-    = a + (a - b)*w.  Both lie in the sector because b > 0 for a split prime.
+    """The other sector prime above the split q = N(pi), for pi in the sector:
+    conj(pi) times the generator t + theta, that is b + a*i resp.
+    a + (a - b)*w, in the sector because b > 0 for a split prime.
     """
-    if pi.ring is Ring.GAUSSIAN:
-        return QuadInt(pi.ring, pi.b, pi.a)
-    return QuadInt(pi.ring, pi.a, pi.a - pi.b)
+    return pi.conjugate() * pi.ring.units[1]
 
 
 def _split_exponents(a: int, b: int, q: int, e: int, t: int) -> tuple[int, int]:

@@ -26,9 +26,10 @@ NORM_PERFECT_K_RESIDUES = {
 }
 
 # Residue modulus used to report k in records: the construction variants
-# are governed by k mod 8 (Gaussian) and k mod 12 (Eisenstein).
+# are governed by k mod 8 (Gaussian) and k mod 12 (Eisenstein), twice the
+# unit count, as minimal_prime**2 = residue_char * (t + theta).
 def k_residue_modulus(ring: Ring) -> int:
-    return 8 if ring is Ring.GAUSSIAN else 12
+    return 2 * ring.unit_count
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Exact arithmetic in the two norm-Euclidean quadratic rings Z[i] and Z[w].
 
-Elements are stored on the integer basis {1, theta} where theta is i
-(theta^2 = -1) or the primitive cube root of unity w (theta^2 = -1 - theta).
-All coordinates are arbitrary-precision Python ints; nothing here ever
-touches floating point, so equality and divisibility results are exact at
-any size.
+Both are Z[theta] with theta^2 = -1 - t*theta: t = 0 gives Z[i] (theta = i)
+and t = 1 gives Z[w] (theta = w, a primitive cube root of unity), so each
+ring formula is written once, in t.  Elements are stored on the integer
+basis {1, theta}.  All coordinates are arbitrary-precision Python ints;
+nothing here ever touches floating point, so equality and divisibility
+results are exact at any size.
 
 Every value is immutable and every operation is a pure function.
 """
@@ -13,51 +14,6 @@ from __future__ import annotations
 
 import enum
 import re
-
-
-class Ring(enum.Enum):
-    """Tag selecting one of the two supported quadratic rings."""
-
-    GAUSSIAN = "gaussian"
-    EISENSTEIN = "eisenstein"
-
-    @property
-    def theta_symbol(self) -> str:
-        return "i" if self is Ring.GAUSSIAN else "w"
-
-    @property
-    def unit_count(self) -> int:
-        return 4 if self is Ring.GAUSSIAN else 6
-
-    @property
-    def units(self) -> tuple["QuadInt", ...]:
-        return _UNITS[self]
-
-    @property
-    def minimal_prime(self) -> "QuadInt":
-        """The positive non-unit of least norm: 1+i (norm 2) or 2+w (norm 3)."""
-        return _MINIMAL[self]
-
-    @property
-    def residue_char(self) -> int:
-        """Size of the residue field modulo the minimal prime (2 or 3)."""
-        return 2 if self is Ring.GAUSSIAN else 3
-
-    def is_inert(self, q: int) -> bool:
-        """Whether the rational prime q stays prime in this ring."""
-        if self is Ring.GAUSSIAN:
-            return q % 4 == 3
-        return q % 3 == 2
-
-    def is_ramified(self, q: int) -> bool:
-        return q == (2 if self is Ring.GAUSSIAN else 3)
-
-    def __str__(self) -> str:
-        return self.value
-
-
-GAUSSIAN = Ring.GAUSSIAN
-EISENSTEIN = Ring.EISENSTEIN
 
 
 class RingMismatchError(ValueError):
@@ -120,11 +76,8 @@ class QuadInt:
             return NotImplemented
         a, b, c, d = self.a, self.b, o.a, o.b
         bd = b * d
-        if self.ring is Ring.GAUSSIAN:
-            # (a+bi)(c+di) = (ac-bd) + (ad+bc)i
-            return QuadInt(self.ring, a * c - bd, a * d + b * c)
-        # (a+bw)(c+dw) = ac + (ad+bc)w + bd*w^2,  w^2 = -1-w
-        return QuadInt(self.ring, a * c - bd, a * d + b * c - bd)
+        # (a+b*theta)(c+d*theta) = ac + (ad+bc)theta + bd*theta^2, theta^2 = -1 - t*theta
+        return QuadInt(self.ring, a * c - bd, a * d + b * c - self.ring.t * bd)
 
     __rmul__ = __mul__
 
@@ -156,37 +109,28 @@ class QuadInt:
     # -- norms and conjugation ----------------------------------------------
 
     def norm(self) -> int:
-        """The field norm: a^2 + b^2 (Gaussian) or a^2 - ab + b^2 (Eisenstein)."""
+        """The field norm a^2 - t*ab + b^2: a^2 + b^2 resp. a^2 - ab + b^2."""
         a, b = self.a, self.b
-        if self.ring is Ring.GAUSSIAN:
-            return a * a + b * b
-        return a * a - a * b + b * b
+        return a * a - self.ring.t * a * b + b * b
 
     def conjugate(self) -> "QuadInt":
-        if self.ring is Ring.GAUSSIAN:
-            return QuadInt(self.ring, self.a, -self.b)
-        return QuadInt(self.ring, self.a - self.b, -self.b)
+        """a + b*conj(theta), with conj(theta) = -t - theta."""
+        return QuadInt(self.ring, self.a - self.ring.t * self.b, -self.b)
 
     def real_part_doubled(self) -> int:
         """2*Re(x) as an exact integer (Re itself may be a half-integer)."""
-        if self.ring is Ring.GAUSSIAN:
-            return 2 * self.a
-        return 2 * self.a - self.b
+        return 2 * self.a - self.ring.t * self.b
 
     def is_unit(self) -> bool:
         return self.norm() == 1
 
     def is_even(self) -> bool:
         """Divisibility by the minimal prime (1+i resp. 2+w)."""
-        if self.ring is Ring.GAUSSIAN:
-            return (self.a + self.b) % 2 == 0
-        return (self.a + self.b) % 3 == 0
+        return (self.a + self.b) % self.ring.residue_char == 0
 
     def residue_mod_minimal(self) -> int:
         """Image in Z/2 resp. Z/3 under the quotient map theta -> 1."""
-        if self.ring is Ring.GAUSSIAN:
-            return (self.a + self.b) % 2
-        return (self.a + self.b) % 3
+        return (self.a + self.b) % self.ring.residue_char
 
     # -- associates and the canonical sector ---------------------------------
 
@@ -197,45 +141,26 @@ class QuadInt:
     def in_sector(self) -> bool:
         """Membership in the fundamental sector holding one associate per class.
 
-        Gaussian: a > 0 and b >= 0.  Eisenstein: a > b >= 0.
+        b >= 0 and a > t*b: Gaussian a > 0 and b >= 0, Eisenstein a > b >= 0.
         """
-        if self.ring is Ring.GAUSSIAN:
-            return self.a > 0 and self.b >= 0
-        return self.a > self.b >= 0
+        return self.b >= 0 and self.a > self.ring.t * self.b
 
     def sector_canonical(self) -> tuple["QuadInt", "QuadInt"]:
         """Split x = u * y with u a unit and y the sector representative.
 
-        The units are the powers g**k of i (Gaussian) or 1+w (Eisenstein);
-        y = x * g**k and u = g**-k, where the signs of a, b and a - b pick k:
-        the quadrant of x (Gaussian) or its sextant (Eisenstein).
+        The units are the powers g**k of g = t + theta; y = x * g**k and
+        u = g**-k for the least k that turns x into the sector, each turn
+        (a + b*theta) * g = (t*a - b) + a*theta.
         """
-        a, b = self.a, self.b
         if not self:
             raise ZeroDivisionError("zero has no sector representative")
-        if self.ring is Ring.GAUSSIAN:
-            if a > 0 and b >= 0:
-                k = 0
-            elif b < 0 <= a:
-                k = 1
-            elif a < 0 and b <= 0:
-                k = 2
-            else:  # a <= 0 < b
-                k = 3
-        elif a > b >= 0:
-            k = 0
-        elif b < 0 <= a:
-            k = 1
-        elif b <= a < 0:
-            k = 2
-        elif a < b <= 0:
-            k = 3
-        elif a <= 0 < b:
-            k = 4
-        else:  # 0 < a <= b
-            k = 5
-        units = self.ring.units
-        return units[-k], self * units[k]
+        ring, a, b = self.ring, self.a, self.b
+        t = ring.t
+        k = 0
+        while not (b >= 0 and a > t * b):
+            a, b = t * a - b, a
+            k += 1
+        return ring.units[-k], QuadInt(ring, a, b)
 
     # -- exact division ------------------------------------------------------
 
@@ -273,6 +198,49 @@ class QuadInt:
         return QuadInt(Ring(obj["ring"]), int(obj["a"]), int(obj["b"]))
 
 
+class Ring(enum.Enum):
+    """Z[theta] with theta^2 = -1 - t*theta: Z[i] at t = 0, Z[w] at t = 1.
+
+    Every per-ring constant is a plain member attribute, set once here: t,
+    theta_symbol, residue_char = 2 + t (the norm of the minimal prime and
+    the size of its residue field), unit_count = 4 + 2t, units (the powers
+    of the generator t + theta: i resp. 1 + w) and minimal_prime
+    (1 + t) + theta, the positive non-unit of least norm: 1+i resp. 2+w.
+    """
+
+    GAUSSIAN = ("gaussian", 0, "i")
+    EISENSTEIN = ("eisenstein", 1, "w")
+
+    def __new__(cls, value: str, t: int, theta_symbol: str) -> "Ring":
+        ring = object.__new__(cls)
+        ring._value_ = value
+        return ring
+
+    def __init__(self, value: str, t: int, theta_symbol: str) -> None:
+        self.t = t
+        self.theta_symbol = theta_symbol
+        self.residue_char = 2 + t
+        self.unit_count = 4 + 2 * t
+        self.minimal_prime = QuadInt(self, 1 + t, 1)
+        generator = QuadInt(self, t, 1)
+        self.units = tuple(generator**k for k in range(self.unit_count))
+
+    def is_inert(self, q: int) -> bool:
+        """Whether the rational prime q stays prime in this ring: q = -1
+        modulo 4 - t, the order of theta."""
+        return q % (4 - self.t) == 3 - self.t
+
+    def is_ramified(self, q: int) -> bool:
+        return q == self.residue_char
+
+    def __str__(self) -> str:
+        return self.value
+
+
+GAUSSIAN = Ring.GAUSSIAN
+EISENSTEIN = Ring.EISENSTEIN
+
+
 def _round_nearest(p: int, n: int) -> int:
     """Nearest integer to p/n (n > 0), ties rounded toward zero."""
     if p >= 0:
@@ -280,38 +248,20 @@ def _round_nearest(p: int, n: int) -> int:
     return -((-2 * p + n - 1) // (2 * n))
 
 
-_UNITS = {
-    # 1, i, -1, -i
-    Ring.GAUSSIAN: tuple(
-        QuadInt(Ring.GAUSSIAN, a, b) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1))
-    ),
-    # Powers of the sixth root of unity 1+w: 1, 1+w, w, -1, -1-w, -w
-    Ring.EISENSTEIN: tuple(
-        QuadInt(Ring.EISENSTEIN, a, b)
-        for a, b in ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
-    ),
-}
-
-_MINIMAL = {
-    Ring.GAUSSIAN: QuadInt(Ring.GAUSSIAN, 1, 1),
-    Ring.EISENSTEIN: QuadInt(Ring.EISENSTEIN, 2, 1),
-}
-
-
-def _divrem(a: int, b: int, c: int, d: int, gaussian: bool) -> tuple[int, int, int, int]:
-    """One Euclidean step on coordinate pairs: (qa, qb, ra, rb) with a + b*theta
-    = q * (c + d*theta) + r and N(r) < N(c + d*theta), q being the exact
-    quotient rounded by _round_nearest.  A zero divisor raises ZeroDivisionError."""
-    n = c * c + d * d if gaussian else c * c - c * d + d * d
+def _divrem(a: int, b: int, c: int, d: int, t: int) -> tuple[int, int, int, int]:
+    """One Euclidean step on coordinate pairs of the ring with this t:
+    (qa, qb, ra, rb) with a + b*theta = q * (c + d*theta) + r and
+    N(r) < N(c + d*theta), q being the exact quotient rounded by
+    _round_nearest.  A zero divisor raises ZeroDivisionError."""
+    ct = c - t * d  # conj(c + d*theta) = ct - d*theta
+    n = c * ct + d * d
     # (a + b*theta) * conj(c + d*theta) = pa + pb*theta
-    pa = a * c + b * d if gaussian else a * (c - d) + b * d
+    pa = a * ct + b * d
     pb = b * c - a * d
     qa, qb = _round_nearest(pa, n), _round_nearest(pb, n)
     # the remainder (a + b*theta) - (qa + qb*theta) * (c + d*theta)
     ra = a - qa * c + qb * d
-    rb = b - qa * d - qb * c
-    if not gaussian:
-        rb += qb * d
+    rb = b - qa * d - qb * ct
     return qa, qb, ra, rb
 
 
@@ -327,9 +277,9 @@ def gcd(x: QuadInt, y: QuadInt) -> QuadInt:
     if not x and not y:
         raise ZeroDivisionError("gcd(0, 0) is undefined")
     a, b, c, d = x.a, x.b, y.a, y.b
-    gaussian = ring is Ring.GAUSSIAN
+    t = ring.t
     while c or d:
-        _, _, ra, rb = _divrem(a, b, c, d, gaussian)
+        _, _, ra, rb = _divrem(a, b, c, d, t)
         a, b, c, d = c, d, ra, rb
     return QuadInt(ring, a, b).sector_canonical()[1]
 

@@ -76,13 +76,9 @@ def _strip(ring: Ring, bound: int, a: int) -> range:
 
 def strip_points(ring: Ring, bound: int, a: int):
     """Yield (b, norm) for the sector points in the strip at this a."""
-    aa = a * a
-    if ring is Ring.GAUSSIAN:
-        for b in _strip(ring, bound, a):
-            yield b, aa + b * b
-    else:
-        for b in _strip(ring, bound, a):
-            yield b, aa - a * b + b * b
+    aa, ta = a * a, ring.t * a
+    for b in _strip(ring, bound, a):
+        yield b, aa + b * (b - ta)  # a^2 - t*a*b + b^2
 
 
 def iter_sector(ring: Ring, bound: int):
@@ -100,17 +96,12 @@ def count_sector_classes(ring: Ring, bound: int) -> int:
 
 def count_lattice_points(ring: Ring, bound: int) -> int:
     """Nonzero lattice points with norm <= bound, counted over a full box."""
+    t = ring.t
     count = 0
     m = isqrt(4 * bound) + 2
     for a in range(-m, m + 1):
         for b in range(-m, m + 1):
-            if a == 0 and b == 0:
-                continue
-            if ring is Ring.GAUSSIAN:
-                n = a * a + b * b
-            else:
-                n = a * a - a * b + b * b
-            if n <= bound:
+            if 0 < a * a - t * a * b + b * b <= bound:
                 count += 1
     return count
 
@@ -176,7 +167,7 @@ def _prime_rows(ring: Ring, bound: int, primes: list[tuple[int, int, int]]) -> l
     The first must be the minimal prime, every prime must lie in the sector,
     no two may be equal and each pi**j must have norm N(pi)**j, or
     ScanInvariantError is raised."""
-    t = int(ring is Ring.EISENSTEIN)
+    t = ring.t
     if len(set(primes)) != len(primes):
         raise ScanInvariantError(f"the {ring} prime table repeats a prime")
     least = ring.minimal_prime
@@ -184,7 +175,7 @@ def _prime_rows(ring: Ring, bound: int, primes: list[tuple[int, int, int]]) -> l
         raise ScanInvariantError(f"the {ring} prime table does not start with {least}")
     rows = []
     for n, a, b in primes:
-        if not (a > b >= 0 if t else a > 0 and b >= 0):
+        if not (b >= 0 and a > t * b):
             raise ScanInvariantError(f"prime {QuadInt(ring, a, b)} is not in the sector")
         row = []
         pn, xa, xb, sa, sb = n, a, b, a + 1, b  # N(pi), pi, sigma(pi) = 1 + pi
@@ -253,10 +244,10 @@ def _finding(ring: Ring, n: int, sn: int, xa: int, xb: int, sa: int, sb: int) ->
     """The finding of the class of x = xa + xb*theta, of norm n, whose sigma
     sa + sb*theta has norm sn: x turns into the sector, and both norms are
     checked on the pairs, or ScanInvariantError is raised."""
-    t = int(ring is Ring.EISENSTEIN)
-    # times the unit theta (Gaussian) resp. 1 + theta until in the sector
-    while not (xa > xb >= 0 if t else xa > 0 and xb >= 0):
-        xa, xb = (xa - xb, xa) if t else (-xb, xa)
+    t = ring.t
+    # times the generator t + theta of the units until in the sector
+    while not (xb >= 0 and xa > t * xb):
+        xa, xb = t * xa - xb, xa
     if xa * xa - t * xa * xb + xb * xb != n or sa * sa - t * sa * sb + sb * sb != sn:
         raise ScanInvariantError(f"norms {n}, {sn} do not fit x {xa}, {xb}, sigma {sa}, {sb}")
     # minimal_prime * x: (1+i)(a+bi) resp. (2+w)(a+bw)
@@ -275,8 +266,7 @@ def _walk_chunk(starts: list[tuple[int, int]]) -> tuple[int, list[Classification
     factorization no class is visited twice.
     """
     ring, bound, rows, norms = _CTX["ring"], _CTX["bound"], _CTX["rows"], _CTX["norms"]
-    t = int(ring is Ring.EISENSTEIN)
-    char = ring.residue_char
+    t, char = ring.t, ring.residue_char
     visited = 0
     findings: list[Classification] = []
 

@@ -192,7 +192,7 @@ def _check_divrem(jobs) -> list[dict]:
         for _ in range(DEFAULTS["random_pairs"]):
             x = _random_element(rng, ring)
             y = _random_nonzero(rng, ring)
-            qa, qb, ra, rb = _divrem(x.a, x.b, y.a, y.b, ring is Ring.GAUSSIAN)
+            qa, qb, ra, rb = _divrem(x.a, x.b, y.a, y.b, ring.t)
             q, r = QuadInt(ring, qa, qb), QuadInt(ring, ra, rb)
             if q * y + r != x or r.norm() >= y.norm():
                 failures.append(_fail("divrem_contract", (x, y), "x=qy+r, N(r)<N(y)", (q, r)))
@@ -255,7 +255,7 @@ def _check_prime_properties(jobs) -> list[dict]:
     failures = []
     bound = DEFAULTS["prime_property_norm_bound"]
     for ring in Ring:
-        p_mod = 4 if ring is Ring.GAUSSIAN else 3
+        p_mod = 4 - ring.t  # the order of theta
         primes = sector_primes(ring, bound)
         seen = set()
         for psi in primes:

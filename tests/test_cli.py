@@ -281,6 +281,40 @@ class TestCycloCommand:
         code, _out, _err = run(capsys, "cyclo", "--p", "3", "validate-odd-form", "{")
         assert code == EXIT_PARSE_ERROR
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"j": 1, "e": 4, "special": "false"}',
+            '{"j": 1, "e": 4, "special": 0}',
+            '{"j": 1.7, "e": 4, "special": true}',
+            '{"j": "1", "e": 4, "special": true}',
+            '{"j": true, "e": 4, "special": true}',
+            '{"j": 1, "e": 4.0, "special": true}',
+            '{"j": 1, "e": false, "special": true}',
+        ],
+    )
+    def test_validate_odd_form_wrong_json_types(self, capsys, entry):
+        # the well-typed entry conforms, and int() and bool() read most of
+        # these as that entry
+        form = '{"p": 5, "entries": [%s]}'
+        good = form % '{"j": 1, "e": 4, "special": true}'
+        assert run_json(capsys, "cyclo", "--p", "5", "validate-odd-form", good)["conforms"]
+        code, out, err = run(capsys, "cyclo", "--p", "5", "validate-odd-form", form % entry)
+        assert (code, out) == (EXIT_PARSE_ERROR, "")
+        assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize("p", ["5.0", "true", '"5"'])
+    def test_validate_odd_form_p_must_be_an_integer(self, capsys, p):
+        form = '{"p": %s, "entries": [{"j": 1, "e": 4, "special": true}]}' % p
+        code, _out, _err = run(capsys, "cyclo", "--p", "5", "validate-odd-form", form)
+        assert code == EXIT_PARSE_ERROR
+
+    @pytest.mark.parametrize("command", ["norm", "even"])
+    @pytest.mark.parametrize("coeffs", ["[true, 2]", "[1, false]", "[1.0, 2]"])
+    def test_coefficients_must_be_integers(self, capsys, command, coeffs):
+        code, out, _err = run(capsys, "cyclo", "--p", "5", command, coeffs)
+        assert (code, out) == (EXIT_PARSE_ERROR, "")
+
     def test_unsupported_p(self, capsys):
         code, _out, _err = run(capsys, "cyclo", "--p", "23", "ramify-check")
         assert code == EXIT_DOMAIN_ERROR

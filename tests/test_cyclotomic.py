@@ -476,6 +476,17 @@ class TestGeneralOddForm:
         }
         assert AbstractOddFactorization.from_json(obj) == form
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("p", 5.0), ("p", True), ("j", 1.7), ("j", True), ("e", "4"), ("special", "false"), ("special", 1)],
+    )
+    def test_from_json_takes_only_json_integers_and_booleans(self, key, value):
+        entry = {"j": 1, "e": 4, "special": True}
+        obj = {"p": 5, "entries": [entry]}
+        (obj if key == "p" else entry)[key] = value
+        with pytest.raises(TypeError):
+            AbstractOddFactorization.from_json(obj)
+
     def test_p3_agrees_with_concrete_validator(self):
         from cycloperfect.search import validate_odd_form
         from cycloperfect.verify import sector_primes

@@ -32,7 +32,7 @@ def random_element(rng, ring, span=200):
 
 def divrem(x, y):
     """_divrem on QuadInt values: (q, r) with x = q*y + r."""
-    qa, qb, ra, rb = _divrem(x.a, x.b, y.a, y.b, x.ring is GAUSSIAN)
+    qa, qb, ra, rb = _divrem(x.a, x.b, y.a, y.b, x.ring.t)
     return QuadInt(x.ring, qa, qb), QuadInt(x.ring, ra, rb)
 
 
@@ -185,6 +185,54 @@ class TestUnitsAndSector:
     def test_sector_canonical_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             e(0, 0).sector_canonical()
+
+
+@pytest.mark.parametrize("ring,t", [(GAUSSIAN, 0), (EISENSTEIN, 1)])
+class TestRingLawOracles:
+    """Each ring against oracles written here from theta^2 = -1 - t*theta."""
+
+    @staticmethod
+    def times(x, y, t):
+        # multiplication by x = a + b*theta on the basis (1, theta): 1 goes
+        # to a + b*theta and theta to b*theta^2 + a*theta = -b + (a - t*b)*theta
+        (a, b), (c, d) = x, y
+        return a * c - b * d, b * c + (a - t * b) * d
+
+    def test_products_and_norms_match_the_matrix(self, ring, t):
+        assert ring.t == t
+        rng = random.Random(41)
+        for _ in range(1_000):
+            a, b, c, d = (rng.randint(-(2**70), 2**70) for _ in range(4))
+            got = QuadInt(ring, a, b) * QuadInt(ring, c, d)
+            assert (got.a, got.b) == self.times((a, b), (c, d), t), (a, b, c, d)
+            # the determinant of the matrix
+            assert QuadInt(ring, a, b).norm() == a * (a - t * b) + b * b
+
+    def test_units_are_the_norm_one_points_in_generator_order(self, ring, t):
+        box = {
+            (a, b)
+            for a in range(-2, 3)
+            for b in range(-2, 3)
+            if a * (a - t * b) + b * b == 1
+        }
+        powers = [(1, 0)]
+        while len(powers) < len(box):
+            powers.append(self.times(powers[-1], (t, 1), t))
+        assert set(powers) == box
+        assert [(u.a, u.b) for u in ring.units] == powers
+        assert ring.unit_count == len(box)
+
+    def test_inert_exactly_when_theta_has_no_root(self, ring, t):
+        sieve = bytearray([1]) * 10_000
+        sieve[:2] = b"\0\0"
+        for n in range(2, 100):
+            if sieve[n]:
+                sieve[n * n :: n] = bytearray(len(sieve[n * n :: n]))
+        primes = [q for q in range(10_000) if sieve[q] and q != 2 + t]
+        assert ring.residue_char == 2 + t and ring.is_ramified(2 + t)
+        for q in primes:
+            rootless = all((x * x + t * x + 1) % q for x in range(q))
+            assert ring.is_inert(q) == rootless, q
 
 
 class TestEuclidean:

@@ -330,9 +330,7 @@ def _table_text(table):
 
 
 @pytest.mark.parametrize("ring", list(Ring))
-def test_scan_matches_peel_reference(ring, monkeypatch, capsys):
-    # small chunks so that the pool runs and merges many of them
-    monkeypatch.setattr(search, "_CHUNK_TARGET_POINTS", 400)
+def test_scan_matches_peel_reference(ring, capsys):
     bound = 2_500
     classes = []
     for a, b, _n in iter_sector(ring, bound):

@@ -50,3 +50,23 @@ def test_every_traced_name_resolves():
         if owner is None:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_ring_formulas_read_the_ring_only_through_its_attributes():
+    # both rings are Z[theta] with theta^2 = -1 - t*theta, so each ring
+    # formula is written once, in t: these function bodies read ring.t and
+    # the other member attributes, and never test which ring they have
+    search_layers = {"strip_points", "count_lattice_points", "_prime_rows", "_finding", "_walk_chunk"}
+    layers = {"rings.py": None, "factorization.py": None, "search.py": search_layers}
+    banned = {"GAUSSIAN", "EISENSTEIN", "gaussian", "eisenstein"}
+    found, seen = [], set()
+    for filename, names in layers.items():
+        for func in ast.walk(ast.parse((SRC / filename).read_text(), filename)):
+            if isinstance(func, ast.FunctionDef) and (names is None or func.name in names):
+                seen.add(func.name)
+                for node in ast.walk(func):
+                    name = getattr(node, "attr", getattr(node, "id", getattr(node, "arg", None)))
+                    if name in banned:
+                        found.append(f"{filename}:{node.lineno} {func.name} reads {name}")
+    assert search_layers <= seen
+    assert found == []
