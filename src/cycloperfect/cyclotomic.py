@@ -351,15 +351,17 @@ def _record(args: tuple[int, int]) -> dict:
     """The record of one exponent k at level p.  For k = d*e, N(pi**d - 1)
     divides N(pi**k - 1) (pi = 1 - zeta_p), and a proper divisor proves the
     norm composite with no modular powering.  For prime k the norm is first
-    searched for a divisor of the form its primes must have (l**(p-1) = 1
-    mod k, see divisor_in_classes); other norms go to is_rational_prime."""
+    searched for a divisor among the odd l with l**(p-1) = 1 (mod k), as
+    pi - 1 is a unit, pi has order k modulo each prime above l, and k
+    divides l**f - 1 with f | p - 1; other norms go to is_rational_prime."""
     p, k = args
     norm = cyc_mersenne_norm(p, k)
     d = next((d for d in range(2, isqrt(k) + 1) if k % d == 0), None)
     if d:
         divisor = cyc_mersenne_norm(p, d)
     else:
-        divisor = divisor_in_classes(norm, k, p - 1) or norm
+        classes = [r for r in range(1, 2 * k, 2) if pow(r, p - 1, k) == 1]
+        divisor = divisor_in_classes(norm, 2 * k, classes) or norm
     composite = 1 < divisor < norm and norm % divisor == 0
     return {
         "p": p,

@@ -4,15 +4,20 @@
 The element itself is computed by exact powering; primality reduces to
 rational primality of the norm, with the one escape hatch of an element
 that is an associate of an inert rational prime (norm q**2).  For prime k,
-a small divisor of the norm of the forced form +-1 (mod 2k) proves a
-composite before any modular power.  Composite exponents are skipped in
-scans: k = m*n factors the element as (min**m - 1) * sum_j (min**m)**j, and
-the witness for that is available on demand.
+a small divisor of the norm proves a composite before any modular power.
+Its walk tries only l = 1 (mod lcm(k, unit_count)): if a prime above a
+split l divides min**k - 1, min has order k modulo it (min - 1 is a unit),
+so k | l - 1, and a split l is 1 mod 4 in Z[i] and 1 mod 6 in Z[w].  An
+inert l would have min**l = conj(min) (mod l), so l | min - conj(min), of
+norm 4 - t**2, or l | N(min) - 1: only l = 2 in Z[w], at k = 3, divides.
+Composite exponents are skipped in scans: k = m*n factors the element as
+(min**m - 1) * sum_j (min**m)**j, and the witness is available on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .factorization import Factorization, is_ring_prime
 from .parallel import run_chunks
@@ -66,7 +71,8 @@ def mersenne(ring: Ring, k: int) -> MersenneRecord:
     prime_exponent_ok = is_rational_prime(k)
     # a proper divisor g of the norm proves the element composite unless
     # norm == g*g, which a prime (an associate of an inert q) can have
-    g = divisor_in_classes(norm, k, 2) if prime_exponent_ok else None
+    split = lcm(k, ring.unit_count)
+    g = divisor_in_classes(norm, split, (1,)) if prime_exponent_ok else None
     return MersenneRecord(
         ring=ring,
         k=k,

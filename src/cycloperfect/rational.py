@@ -5,13 +5,14 @@ primes below 10**4 is one gcd with their product, after a cheap one with
 the product of those below 200, and it decides every n below 10**8.  From
 2**64 on, an n whose n - 1 is divisible by a power F of 2 or 3 with
 F*F > n (as is the norm of min**k - 1 for odd k in both quadratic rings)
-is proven prime or composite by Pocklington's criterion.  Every other n
+is proven prime or composite by Pocklington's criterion (by shifts, not
+division, modulo a large Gaussian norm: _folded_pow).  Every other n
 below PSI13 (about 3.3e24) is decided by the first t primes as fixed
 Miller-Rabin witnesses, with t the least index for which n < psi_t, the
 least strong pseudoprime to those t bases; from PSI13 on, such an n is
 probable prime after MR_ROUNDS_LARGE random Miller-Rabin rounds.  Before
 any of that, a Mersenne norm of prime exponent k can be proven composite
-by a divisor of the form its primes are forced to have
+by a divisor in the residue classes its primes are forced into
 (divisor_in_classes).  Factoring divides out the small primes of the long
 gcd and then runs Brent's cycle-finding variant of Pollard rho.  All
 randomized pieces draw from generators seeded by the documented constants
@@ -34,6 +35,9 @@ FACTOR_SEED = 0xB1D_5EED
 
 TRIAL_DIVISION_BOUND = 10_000
 MR_ROUNDS_LARGE = 40
+
+# From here on _folded_pow is at least as fast as pow (BENCH_22 fold_vs_pow).
+FOLD_MIN_BITS = 500
 
 # The first t primes as Miller-Rabin witnesses decide every n < _PSI[t - 1],
 # the least strong pseudoprime to all of them: psi_1..psi_11 from Jaeschke
@@ -88,6 +92,40 @@ def _miller_rabin(n: int, a: int) -> bool:
     return False
 
 
+def _fold_shape(n: int) -> tuple[int, int, int] | None:
+    """(k, s, h) with n = 2**k + s*2**h + 1, s = +-1, 1 <= h <= k/2 + 1, or
+    None; a Gaussian Mersenne norm of odd prime k has h = (k + 1)/2."""
+    m = n - 1
+    k = m.bit_length() - 1
+    for s, k, d in ((1, k, m - (1 << k)), (-1, k + 1, (2 << k) - m)):
+        h = d.bit_length() - 1
+        if d > 1 and d == 1 << h and 2 * h <= k + 2:
+            return k, s, h
+    return None
+
+
+def _folded_pow(a: int, e: int, n: int, k: int, s: int, h: int) -> int:
+    """pow(a, e, n) for n of _fold_shape (k, s, h) and a base a < 2**14.
+
+    As 2**k = -1 - s*2**h (mod n), x = hi*2**k + lo folds to
+    lo - hi - s*hi*2**h by a shift and a mask, where pow divides.  Three
+    folds take each step's x*x*a (2k + 16 bits) to about 3k/2, k + 16 and k
+    bits; with two, x grows step by step.  x may go negative between folds;
+    one % n at the end settles it.
+    """
+    mask = (1 << k) - 1
+    plus = s > 0
+    x = 1
+    for bit in bin(e)[2:]:
+        x *= x
+        if bit == "1":
+            x *= a
+        for _ in range(3):
+            hi = x >> k
+            x = (x & mask) - hi - (hi << h) if plus else (x & mask) - hi + (hi << h)
+    return x % n
+
+
 def _pocklington(n: int) -> bool | None:
     """True or False when Pocklington's criterion decides n, else None.
 
@@ -99,19 +137,22 @@ def _pocklington(n: int) -> bool | None:
     so a base with gcd n proves nothing and the next one is tried.  Base q
     is skipped: q is a unit times min**2 (N(min) = q), so q**(12k) = 1
     modulo min**k - 1, and on the norms of the Mersenne scans (prime k) q
-    never decides.
+    never decides.  Above FOLD_MIN_BITS an n of _fold_shape is powered by
+    _folded_pow, any other n by pow.
     """
     s = isqrt(n)
+    shape = _fold_shape(n) if n.bit_length() > FOLD_MIN_BITS else None
     for q in (2, 3):
         f = q
         while f <= s:
             f *= q
         if (n - 1) % f:
             continue
+        e = (n - 1) // q
         for a in SMALL_PRIMES:
             if a == q:
                 continue
-            x = pow(a, (n - 1) // q, n)
+            x = _folded_pow(a, e, n, *shape) if shape else pow(a, e, n)
             if pow(x, q, n) != 1:
                 return False
             if gcd(x - 1, n) == 1:
@@ -120,24 +161,20 @@ def _pocklington(n: int) -> bool | None:
     return None
 
 
-def divisor_in_classes(n: int, k: int, degree: int) -> int | None:
-    """A divisor g of n with 1 < g < n among the odd l with
-    l**degree = 1 (mod k), or None.
+def divisor_in_classes(n: int, modulus: int, residues) -> int | None:
+    """A divisor g of n with 1 < g < n among the l > 1 in the residues
+    (ascending, in [0, modulus)) mod modulus, or None.
 
-    For prime k, every odd prime factor of the norm of min**k - 1
-    (degree 2) or of (1 - zeta_p)**k - 1 (degree p - 1) has that form:
-    pi - 1 is a unit, so pi has order k modulo each prime above l, and k
-    divides l**f - 1 with f | degree.  The walk takes the first
-    n.bit_length() such l in increasing order and multiplies them into
-    batches of about n.bit_length() bits, one gcd per batch, so it costs a
-    small fraction of one modular power.  Correctness does not rest on the
-    form: a returned g always divides n properly.
+    mersenne and cyclotomic._record pass the classes that the prime factors
+    of a Mersenne norm of prime k are forced into, and prove it.  The walk
+    takes the first n.bit_length() such l in increasing order and multiplies
+    them into batches of about n.bit_length() bits, one gcd per batch, so
+    it costs a small fraction of one modular power.  Correctness does not
+    rest on the classes: a returned g always divides n properly.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    step = 2 * k
-    classes = [r for r in range(1, step, 2) if pow(r, degree, k) == 1]
-    candidates = (b + r for b in count(0, step) for r in classes if b + r > 1)
+    if modulus < 2 or not residues:
+        raise ValueError("need a modulus >= 2 and at least one residue")
+    candidates = (b + r for b in count(0, modulus) for r in residues if b + r > 1)
     bits = n.bit_length()
     batch, members = 1, []
     for i, ell in enumerate(islice(candidates, bits), 1):

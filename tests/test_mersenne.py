@@ -1,8 +1,10 @@
+import hashlib
 import importlib
+import math
 
 import pytest
 
-from cycloperfect import rational
+from cycloperfect import cli, rational
 from cycloperfect.divisors import Status, classify, sigma_from_factorization
 from cycloperfect.mersenne import (
     candidate_factorization,
@@ -225,3 +227,89 @@ class TestScan:
             monkeypatch.setattr(module, "divisor_in_classes", lambda n, k, d: None)
             assert scan(ring, 400, jobs=1) == want, ring
             monkeypatch.undo()
+
+
+def prime_divisors_below(n, blocks):
+    """The primes of the blocks (lists with their products) dividing n."""
+    found = []
+    for members, product in blocks:
+        g = math.gcd(product % n, n)
+        if g > 1:
+            found += [ell for ell in members if g % ell == 0]
+    return found
+
+
+class TestDivisorClasses:
+    def test_prime_factors_below_a_million_lie_in_the_walked_class(self):
+        # every split prime factor l of N(min**k - 1), prime k, is 1 mod
+        # lcm(k, unit_count); an odd inert l never divides it (Frobenius:
+        # pi**l = conj(pi) mod l), so the rule "inert l = 1 (mod 2k)" holds
+        # vacuously, and the one inert factor is 2 in Z[w] at k = 3, the
+        # order of min = w (mod 2); no ramified prime divides the norm
+        primes = rational._sieve_primes(10**6)
+        blocks = [(primes[i : i + 4000], math.prod(primes[i : i + 4000])) for i in range(0, len(primes), 4000)]
+        split, inert = 0, []
+        for ring in Ring:
+            for k in filter(is_rational_prime, range(2, 401)):
+                for ell in prime_divisors_below(mersenne_element(ring, k).norm(), blocks):
+                    assert not ring.is_ramified(ell), (ring, k, ell)
+                    if ring.is_inert(ell):
+                        inert.append((ring, k, ell))
+                        assert ell == 2 or ell % (2 * k) == 1, (ring, k, ell)
+                    else:
+                        assert ell % math.lcm(k, ring.unit_count) == 1, (ring, k, ell)
+                        split += 1
+        assert inert == [(EISENSTEIN, 3, 2)]
+        assert split > 100
+
+    def test_walk_decides_at_least_the_old_classes(self):
+        # over the benchmark's exponents the class 1 (mod lcm(k, unit_count))
+        # decides at least as many composite norms, with the same budget, as
+        # the classes +-1 (mod 2k) the walk used before, kept here as oracle
+        for ring, k_max in ((GAUSSIAN, 2000), (EISENSTEIN, 1500)):
+            new = old = 0
+            for k in filter(is_rational_prime, range(2, k_max + 1)):
+                n = mersenne_element(ring, k).norm()
+                g = rational.divisor_in_classes(n, math.lcm(k, ring.unit_count), (1,))
+                h = rational.divisor_in_classes(n, 2 * k, (1, 2 * k - 1))
+                new += g is not None and g * g != n
+                old += h is not None and h * h != n
+            assert new >= old > 90, (ring, new, old)
+
+
+# OEIS A057429 and A066408: the prime exponents k of the prime Gaussian and
+# Eisenstein Mersenne elements, taken from the published lists
+A057429 = [2, 3, 5, 7, 11, 19, 29, 47, 73, 79, 113, 151, 157, 163, 167, 239, 241, 283, 353, 367, 379, 457, 997, 1367]
+A066408 = [2, 5, 7, 11, 17, 19, 79, 163, 193, 239, 317, 353, 659, 709, 1049, 1103]
+# sha256 of the mersenne command's stdout (JSON, then --csv), recorded with
+# plain pow and the walk over the classes +-1 (mod 2k)
+MERSENNE_DIGESTS = {
+    GAUSSIAN: (
+        2000,
+        A057429,
+        "fead2f06cebc566cd513c9c57acbdd1d644026634a2aa17709114340e60a99e4",
+        "c6d4b27eaed98f82906cd7df9682abc5b5976b090951ef5d05953a8efb63661b",
+    ),
+    EISENSTEIN: (
+        1500,
+        A066408,
+        "86d40aa69ed82325e8b5be6f2800056a96564d602bdde51241a5b37b64e522bd",
+        "2489f2065a0f2fe92acb10bff69f1f36a5ab6a30e96015b4e01db7dbc744f2d1",
+    ),
+}
+
+
+@pytest.mark.parametrize("ring", [GAUSSIAN, EISENSTEIN], ids=str)
+def test_prime_exponents_are_the_published_lists(ring, capsys, monkeypatch):
+    # one scan at jobs=2 feeds both checks: its prime exponents against the
+    # OEIS list, and the digests of both renderings by the CLI
+    k_max, published, json_digest, csv_digest = MERSENNE_DIGESTS[ring]
+    records = scan(ring, k_max, jobs=2)
+    assert [r.k for r in records if r.is_prime] == published
+    monkeypatch.setattr(cli, "scan", lambda *args, **kwargs: records)
+    digests = []
+    for extra in ([], ["--csv"]):
+        argv = ["mersenne", "--ring", ring.value, "--max-k", str(k_max), "--jobs", "2"]
+        assert cli.main(argv + extra) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == [json_digest, csv_digest]

@@ -6,10 +6,12 @@ from array import array
 import pytest
 
 from cycloperfect import rational
+from cycloperfect.cyclotomic import cyc_mersenne_norm
 from cycloperfect.divisors import classify
 from cycloperfect.mersenne import mersenne_element
 from cycloperfect.rational import (
     SMALL_PRIMES,
+    TRIAL_DIVISION_BOUND,
     factor_rational,
     factor_with_sieve,
     is_rational_prime,
@@ -344,42 +346,120 @@ class TestPocklington:
         assert rational._pocklington(n) is None
 
 
+def primes_between(lo, hi):
+    return [k for k in range(lo, hi) if is_rational_prime(k)]
+
+
+class TestFoldedPow:
+    def test_gaussian_norms_above_the_bound(self):
+        # n = 2**k +- 2**((k+1)/2) + 1 for odd prime k, e = (n-1)/2 as in
+        # _pocklington, over every prime k in a range above the bound
+        ks = primes_between(rational.FOLD_MIN_BITS, rational.FOLD_MIN_BITS + 400)
+        signs = set()
+        for k in ks:
+            n = mersenne_element(Ring.GAUSSIAN, k).norm()
+            shape = rational._fold_shape(n)
+            assert shape is not None and shape[0::2] == (k, (k + 1) // 2), k
+            signs.add(shape[1])
+            for a in (3, 5):
+                e = (n - 1) // 2
+                assert rational._folded_pow(a, e, n, *shape) == pow(a, e, n), (k, a)
+        assert signs == {1, -1} and len(ks) > 50
+
+    def test_random_exponents_on_every_shape(self):
+        # 2**k + s*2**h + 1 for both signs and h from 1 to (k+2)//2: every h
+        # up to k = 1000, a sample of h beyond; random e and small bases
+        rng = random.Random(2203)
+        bound = rational.FOLD_MIN_BITS
+        checked = 0
+        for k in (bound - 100, bound - 1, bound + 1, 701, 1000, 2003, 4000, 6000):
+            top = (k + 2) // 2
+            hs = range(1, top + 1)
+            if k > 1000:
+                hs = sorted({1, 2, 3, top - 2, top - 1, top, *rng.sample(hs, 8)})
+            for h in hs:
+                for s in (1, -1):
+                    n = (1 << k) + s * (1 << h) + 1
+                    assert rational._fold_shape(n) == (k, s, h), (k, s, h)
+                    e = rng.getrandbits(rng.randint(1, 96 if k > 1000 else 40))
+                    a = rng.randrange(2, TRIAL_DIVISION_BOUND)
+                    assert rational._folded_pow(a, e, n, k, s, h) == pow(a, e, n), (k, s, h)
+                    checked += 1
+        e = rng.getrandbits(6000)
+        n = (1 << 6000) - (1 << 3001) + 1
+        assert rational._folded_pow(9973, e, n, 6000, -1, 3001) == pow(9973, e, n)
+        assert checked > 2000
+
+    def test_shape_rejects_other_norms(self):
+        rejected = [mersenne_element(Ring.EISENSTEIN, k).norm() for k in primes_between(3, 1200)]
+        rejected += [cyc_mersenne_norm(p, k) for p in (3, 5, 7) for k in (101, 211, 307)]
+        rejected += [(1 << k) + 1 for k in (64, 128, 450, 1000, 2048)]
+        rng = random.Random(17)
+        rejected += [rng.getrandbits(rng.randint(64, 3000)) | 1 for _ in range(500)]
+        rejected += [(1 << k) + (1 << h) + 1 for k, h in ((1000, 502), (1000, 700), (2001, 1003))]
+        assert not any(rational._fold_shape(n) for n in rejected)
+
+    def test_pocklington_takes_the_kernel_above_the_bound(self, monkeypatch):
+        # above FOLD_MIN_BITS a Gaussian norm is powered by the kernel, at or
+        # below it by pow: the gain cannot vanish silently, nor reach a small n
+        calls = []
+        kernel = rational._folded_pow
+
+        def counting(*args):
+            calls.append(args[2])
+            return kernel(*args)
+
+        monkeypatch.setattr(rational, "_folded_pow", counting)
+        bound = rational.FOLD_MIN_BITS
+        above = [mersenne_element(Ring.GAUSSIAN, k).norm() for k in primes_between(bound, bound + 60)]
+        below = [mersenne_element(Ring.GAUSSIAN, k).norm() for k in primes_between(70, bound - 1)]
+        assert above and below
+        for n in above + below:
+            assert rational._pocklington(n) is not None
+        assert set(calls) == {n for n in above if n.bit_length() > bound}
+        assert len(set(calls)) >= len(above) - 1
+
+
 class TestDivisorInClasses:
     def test_mersenne_2_11(self):
         # 2**11 - 1 = 23 * 89, both 1 (mod 22)
-        assert rational.divisor_in_classes(2**11 - 1, 11, 1) == 23
+        assert rational.divisor_in_classes(2**11 - 1, 22, (1,)) == 23
 
     def test_whole_norm_in_one_batch(self):
         # 23 and 45 are the first two candidates and fill one batch, so the
         # batch gcd is n itself and the members are tried one by one
-        assert rational.divisor_in_classes(23 * 45, 11, 1) == 23
-        assert rational.divisor_in_classes(23 * 23, 11, 1) == 23
+        assert rational.divisor_in_classes(23 * 45, 22, (1,)) == 23
+        assert rational.divisor_in_classes(23 * 23, 22, (1,)) == 23
 
     def test_primes_give_none(self):
         for p in SMALL_PRIMES:
-            for k in (2, 3, 5, 7, 11, 13):
-                assert rational.divisor_in_classes(p, k, 2) is None, (p, k)
+            for m in (2, 3, 4, 10, 14, 22, 26):
+                assert rational.divisor_in_classes(p, m, (1, m - 1)) is None, (p, m)
         for ring in Ring:
             for k in range(2, 401):
                 n = mersenne_element(ring, k).norm()
                 if is_rational_prime(k) and is_rational_prime(n):
-                    assert rational.divisor_in_classes(n, k, 2) is None, (ring, k)
+                    m = math.lcm(k, ring.unit_count)
+                    assert rational.divisor_in_classes(n, m, (1,)) is None, (ring, k)
 
     def test_divisors_are_proper(self):
         rng = random.Random(101)
         found = 0
         for _ in range(2000):
             n = rng.randint(2, 10**9)
-            k = rng.choice((2, 3, 5, 7, 11, 13, 17, 19))
-            g = rational.divisor_in_classes(n, k, rng.choice((1, 2, 4, 6)))
+            m = rng.choice((2, 3, 5, 7, 11, 13, 17, 19)) * rng.choice((1, 2, 4, 6))
+            residues = sorted(rng.sample(range(m), rng.randint(1, min(m, 3))))
+            g = rational.divisor_in_classes(n, m, residues)
             if g is not None:
-                assert 1 < g < n and n % g == 0, (n, k, g)
+                assert 1 < g < n and n % g == 0, (n, m, g)
                 found += 1
         assert found > 100
 
-    def test_k_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            rational.divisor_in_classes(35, 1, 2)
+    def test_modulus_below_two_rejected(self):
+        # a modulus of 0 or an empty class would walk forever
+        for m, residues in ((1, (0,)), (0, (1,)), (22, ())):
+            with pytest.raises(ValueError):
+                rational.divisor_in_classes(35, m, residues)
 
 
 class TestFactorRational:
