@@ -643,42 +643,58 @@ class TestRationalPerfectRemark:
             check_rational_perfect_remark(2)
 
 
-# sha256 of each scan's output at norm 2*10^4, recorded before the walk
-# replaced per-class factoring: the JSON with its wall_time item cut out,
-# and the --csv text.  Any change to a scan's output fails here.
+# sha256 of each scan's output: the JSON with its wall_time item cut out,
+# and the --csv text.  Those at norm 2*10^4 were recorded before the walk
+# replaced per-class factoring, those at 5*10^4 (the benchmark's odd scans)
+# before the findings became integer rows.  Any change to a scan's output
+# fails here.
 _GOLDEN_SCAN_DIGESTS = {
-    ("gaussian", "search-odd"): (
+    ("gaussian", "search-odd", 20_000): (
         "2e985ebea1708687831a267ce2af20d799a18ba5003fede282d2aaf0e3631c9e",
         "f6c3e743fd27ea6dc86664f981285d2a2af36b9a0456a425bd601395aaef062a",
     ),
-    ("gaussian", "search-even"): (
+    ("gaussian", "search-even", 20_000): (
         "c5b394b76f6ffebef6f00815584a61794ceaee26ab52325cb743efd217740c54",
         "0f1bddae963805ac6df4c77de32c776ce16585360958e2277fb1f232a1fcb8f3",
     ),
-    ("gaussian", "search-even --prune"): (
+    ("gaussian", "search-even --prune", 20_000): (
         "4814ff2a9c5bc3a4f1d0e7cc50d40cea064e8773cff9d1114f2b8e9d5f77dcd5",
         "0a631eb0922362c8eb652bd9064305cb6b42b6f089a96bd724c03a3b0331cfc5",
     ),
-    ("eisenstein", "search-odd"): (
+    ("eisenstein", "search-odd", 20_000): (
         "cf875039c4d244d6a749ee2346b210c1e33a956103c11f4ae2dcd2e119337a2d",
         "f3aa74993ee1c310f2310c90fd18110cfac95c8a5a56aaa836c4f504ab0e659e",
     ),
-    ("eisenstein", "search-even"): (
+    ("eisenstein", "search-even", 20_000): (
         "d7c4ce5b154ef0c288b0b8ad34a1671cdc59232ad349ca9d49559cdf63da8c73",
         "35d1b113eebb20878c54e0e94a078f8cbfe60e609135e07ac78bc479161f58bd",
     ),
-    ("eisenstein", "search-even --prune"): (
+    ("eisenstein", "search-even --prune", 20_000): (
         "ef83ecefb11b7feafe9f392afea1eb90ead792da219375158d19453c2d2537f8",
         "41d8103e1d568384151f7f7565ae9e1f617ab71ffffcfef066840279d40f3ed0",
+    ),
+    ("gaussian", "search-odd", 50_000): (
+        "797a09f2e7b219814ff9bcfe11e870227ef96cdaf562a2933c51f327de7750b7",
+        "d9abbe52d8f9f23d536c08e0c42479cde6ead873727bc81a28e1a0f2843131b8",
+    ),
+    ("eisenstein", "search-odd", 50_000): (
+        "50ea0df73154ad8d3b5a660503e0818c43c588cb12bf594f6a8c50d94302ff8f",
+        "cbc001fca08e0a31be0c63eeb7ea57ca2b3a2af9ecf8d72fef995eb440e53d62",
     ),
 }
 
 
-@pytest.mark.parametrize("ring, command", list(_GOLDEN_SCAN_DIGESTS))
-def test_scan_outputs_match_golden_digests(ring, command, capsys):
-    want = _GOLDEN_SCAN_DIGESTS[ring, command]
+@pytest.mark.parametrize(
+    "ring, command, bound",
+    [
+        pytest.param(*key, id="-".join(map(str, key if key[2] != 20_000 else key[:2])))
+        for key in _GOLDEN_SCAN_DIGESTS
+    ],
+)
+def test_scan_outputs_match_golden_digests(ring, command, bound, capsys):
+    want = _GOLDEN_SCAN_DIGESTS[ring, command, bound]
     for jobs in ("1", "2"):
-        argv = [*command.split(), "--ring", ring, "--max-norm", "20000", "--jobs", jobs]
+        argv = [*command.split(), "--ring", ring, "--max-norm", str(bound), "--jobs", jobs]
         texts = []
         for extra in ([], ["--csv"]):
             assert cli.main(argv + extra) == 0
