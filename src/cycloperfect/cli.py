@@ -235,7 +235,8 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_classify(args) -> int:
     x = _parse_nonzero(args.element, args.ring)
-    (text,) = json_rows(x.ring, [classify(x, check_primitive=args.primitive)], with_unit=False)
+    cls = classify(x, check_primitive=args.primitive)
+    (text,) = json_rows(x.ring, [cls.row()], with_unit=False, primitive=cls.primitive)
     if args.pretty:
         _emit(json.loads(text), True)
     else:
@@ -292,7 +293,7 @@ def _cmd_search(args) -> int:
         return EXIT_OK
     text = report.json_text(config=_config_header())
     if args.pretty:
-        _emit(json.loads(text), True, report.csv_rows() if report.findings else None)
+        _emit(json.loads(text), True, report.csv_rows() if report.rows else None)
     else:
         print(text)
     return EXIT_OK

@@ -6,10 +6,10 @@ division ever happens.  A unit has the empty factorization and sigma 1.
 
 An element x is perfect when sigma(x) equals minimal_prime * x exactly,
 norm-perfect when that equality holds after taking norms, and abundant or
-deficient according to the strict inequality direction.  classify and the
-sector scans both hand back a Classification, x's coordinates with sigma(x)
-and the two norms; _status is the one rule from norms to status and
-json_rows the one JSON writer.
+deficient according to the strict inequality direction.  classify hands
+back a Classification, x's coordinates with sigma(x) and the two norms, and
+the sector scans its integer row; _sign is the one rule from norms to
+status and json_rows, which reads integer rows, the one JSON writer.
 """
 
 from __future__ import annotations
@@ -32,15 +32,16 @@ class Status(enum.Enum):
         return self.value
 
 
-def _status(char: int, norm: int, sigma_norm: int) -> Status:
-    """The status of x from its norm, the residue characteristic (the norm
-    of the minimal prime) and the norm of sigma(x)."""
+def _sign(char: int, norm: int, sigma_norm: int) -> int:
+    """-1, 0 or 1 as N(sigma(x)) is below, equal to or above char * N(x),
+    char the residue characteristic (the norm of the minimal prime): the
+    index of x's status in _STATUS and of its JSON text in _STATUS_TEXT."""
     target = char * norm
-    if sigma_norm < target:
-        return Status.DEFICIENT
-    if sigma_norm == target:
-        return Status.NORM_PERFECT
-    return Status.ABUNDANT
+    return (sigma_norm > target) - (sigma_norm < target)
+
+
+_STATUS = (Status.NORM_PERFECT, Status.ABUNDANT, Status.DEFICIENT)
+_STATUS_TEXT = tuple(f'"{s.value}"' for s in _STATUS)
 
 
 @dataclass(slots=True, order=True)
@@ -74,7 +75,16 @@ class Classification:
 
     @property
     def status(self) -> Status:
-        return _status(self.ring.residue_char, self.norm, self.sigma_norm)
+        return _STATUS[_sign(self.ring.residue_char, self.norm, self.sigma_norm)]
+
+    def row(self) -> tuple:
+        """A scan's integer row: (norm, a, b, sigma.a, sigma.b, sigma_norm, perfect)."""
+        return (self.norm, self.a, self.b, self.sigma.a, self.sigma.b, self.sigma_norm, self.perfect)
+
+    @classmethod
+    def from_row(cls, ring: Ring, row: tuple) -> Classification:
+        norm, a, b, sa, sb, sn, perfect = row
+        return cls(norm, a, b, QuadInt(ring, sa, sb), sn, perfect)
 
     @property
     def perfect_unit(self) -> QuadInt | None:
@@ -88,28 +98,28 @@ class Classification:
 _JSON_LITERAL = {False: "false", True: "true", None: "null"}
 
 
-def json_rows(ring: Ring, rows, *, with_unit: bool) -> list[str]:
-    """The json.dumps(..., sort_keys=True) text of each Classification of the
-    ring, written straight from its integers; with_unit adds the
-    perfect_unit key of the scan reports.  The parity test is written out
-    here rather than read from the even property, which would build a
-    QuadInt per row."""
+def json_rows(ring: Ring, rows, *, with_unit: bool, primitive: bool | None = None) -> list[str]:
+    """The json.dumps(..., sort_keys=True) text of each integer row
+    (Classification.row) of the ring, written straight from its integers
+    with the given primitive value; with_unit adds the perfect_unit key of
+    the scan reports.  The parity test is written out here rather than read
+    from the even property, which would build a QuadInt per row."""
     name = ring.value
     char = ring.residue_char
     no_unit = '"perfect_unit": null, ' if with_unit else ""
     texts = []
-    for row in rows:
-        norm, a, b, sn, sig = row.norm, row.a, row.b, row.sigma_norm, row.sigma
-        status = _status(char, norm, sn)
+    for norm, a, b, sa, sb, sn, perfect in rows:
+        sign = _sign(char, norm, sn)
         unit = no_unit
-        if with_unit and status is Status.NORM_PERFECT and (u := row.perfect_unit) is not None:
-            unit = f'"perfect_unit": {{"a": "{u.a}", "b": "{u.b}", "ring": "{name}"}}, '
+        if with_unit and not sign:
+            u = perfect_associate_unit(QuadInt(ring, a, b), QuadInt(ring, sa, sb))
+            unit = f'"perfect_unit": {{"a": "{u.a}", "b": "{u.b}", "ring": "{name}"}}, ' if u else unit
         texts.append(
             f'{{"element": {{"a": "{a}", "b": "{b}", "ring": "{name}"}}, '
             f'"even": {_JSON_LITERAL[(a + b) % char == 0]}, "norm": "{norm}", '
-            f'"perfect": {_JSON_LITERAL[row.perfect]}, {unit}"primitive": {_JSON_LITERAL[row.primitive]}, '
-            f'"sigma": {{"a": "{sig.a}", "b": "{sig.b}", "ring": "{name}"}}, '
-            f'"sigma_norm": "{sn}", "status": "{status.value}"}}'
+            f'"perfect": {_JSON_LITERAL[perfect]}, {unit}"primitive": {_JSON_LITERAL[primitive]}, '
+            f'"sigma": {{"a": "{sa}", "b": "{sb}", "ring": "{name}"}}, '
+            f'"sigma_norm": "{sn}", "status": {_STATUS_TEXT[sign]}}}'
         )
     return texts
 
@@ -218,7 +228,7 @@ def classify(
     c = x.ring.residue_char  # == norm of the minimal prime
     perfect = sig == x.ring.minimal_prime * x
     primitive: bool | None = None
-    if check_primitive and _status(c, n, ns) is Status.NORM_PERFECT:
+    if check_primitive and not _sign(c, n, ns):  # norm-perfect
         primitive = _is_primitive(fac, c)
     return Classification(n, x.a, x.b, sig, ns, perfect, primitive)
 

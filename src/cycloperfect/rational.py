@@ -26,7 +26,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import compress, count, islice
 from math import gcd, isqrt, prod
 
 # Seeds for the randomized splitting / large-number witness choices.
@@ -62,13 +62,18 @@ _PSI = (
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _sieve_primes(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
+def prime_flags(limit: int) -> bytearray:
+    """flags[n] = 1 when n is prime, else 0, for 0 <= n <= limit."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = bytes(min(2, limit + 1))
     for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return flags
+
+
+def _sieve_primes(limit: int) -> list[int]:
+    return list(compress(range(limit + 1), prime_flags(limit)))
 
 
 SMALL_PRIMES = _sieve_primes(TRIAL_DIVISION_BOUND)

@@ -2,14 +2,14 @@
 
 Sector scans visit exactly one representative per associate class
 (Gaussian a > 0, b >= 0; Eisenstein a > b >= 0) without factoring any: a
-depth-first walk over the table of sector primes builds each class from
-its prime powers, carrying its norm and the norm of its sigma as integers
-(_walk_chunk).  Every non-deficient class becomes a finding, the
-divisors.Classification row that classify returns too, and the report
+depth-first walk over the sector primes, found on a table of prime flags,
+builds each class from its prime powers, carrying its norm and the norm of
+its sigma as integers (_walk_chunk).  Every non-deficient class becomes a
+finding, an integer row (divisors.Classification.row), and the report
 writes its JSON text straight from the rows (divisors.json_rows).  The
 number of classes visited must equal an independent count of the region
-(count_sector_classes).  Workers return their rows and the parent sorts
-them, so reports are identical no matter how many processes run."""
+(count_sector_classes).  Workers return plain integer rows and the parent
+sorts them, so reports are identical no matter how many processes run."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
-from operator import attrgetter
 
 from .divisors import (
     Classification,
@@ -34,6 +33,7 @@ from .parallel import run_chunks
 from .rational import (
     factor_with_sieve,
     is_rational_prime,
+    prime_flags,
     smallest_prime_factor_sieve,
 )
 from .rings import QuadInt, Ring
@@ -111,15 +111,15 @@ def count_lattice_points(ring: Ring, bound: int) -> int:
 # Sweeps fork their workers, so the parent publishes the (large, read-only)
 # sieve and prime table as _CTX right before creating the pool.  _BUILT keeps
 # the last context built for each ring: a sweep of the same ring and bound
-# reuses it, and the other ring at the same bound reuses its spf sieve.
+# reuses it, and the other ring at the same bound its sieves (_shared).
 
 _CTX: dict = {}
 _BUILT: dict[Ring, dict] = {}
 
 
 def _build_context(ring: Ring, bound: int) -> dict:
-    """Publish the sieve and the prime table, the one enumeration of the
-    sector's primes, as _CTX and return it.  rows[i] belongs to the i-th
+    """Publish the prime flags and the prime table, the one enumeration of
+    the sector's primes, as _CTX and return it.  rows[i] belongs to the i-th
     sector prime pi of norm <= bound in (norm, a, b) order (rows[0] is the
     minimal prime) and holds (N(pi)**j, N(sigma(pi**j)), pi**j, sigma(pi**j))
     for each j >= 1 with N(pi)**j <= bound, elements as integer pairs.
@@ -133,30 +133,35 @@ def _build_context(ring: Ring, bound: int) -> dict:
     return ctx
 
 
+def _shared(bound: int, key: str, sieve):
+    """A context's table under key at this bound, else sieve(bound)."""
+    table = next((c[key] for c in _BUILT.values() if c["bound"] == bound and key in c), None)
+    return sieve(bound) if table is None else table
+
+
 def _new_context(ring: Ring, bound: int) -> dict:
-    spf = next((c["spf"] for c in _BUILT.values() if c["bound"] == bound), None)
-    if spf is None:
-        spf = smallest_prime_factor_sieve(bound)
-    rows = _prime_rows(ring, bound, _sector_prime_triples(ring, bound, spf))
+    flags = _shared(bound, "flags", prime_flags)
+    rows = _prime_rows(ring, bound, _sector_prime_triples(ring, bound, flags))
     norms = [row[0][0] for row in rows] + [bound + 1]
-    return dict(ring=ring, bound=bound, spf=spf, rows=rows, norms=norms)
+    return dict(ring=ring, bound=bound, flags=flags, rows=rows, norms=norms)
 
 
-def _sector_prime_triples(ring: Ring, bound: int, spf) -> list[tuple[int, int, int]]:
+def _sector_prime_triples(ring: Ring, bound: int, flags) -> list[tuple[int, int, int]]:
     """(N(pi), a, b) for each sector prime pi = a + b*theta of norm <= bound,
     sorted: the minimal prime, the sector points of split prime norm and
     each inert q with q**2 <= bound."""
-    char = ring.residue_char
-    # a split prime's norm is a prime above char, the least norm above 1
-    primes = [
-        (n, a, b)
-        for a in a_range(ring, bound)
-        for b, n in strip_points(ring, bound, a)
-        if spf[n] == n > char
-    ]
+    t, char = ring.t, ring.residue_char
+    primes = []
+    for a in a_range(ring, bound):
+        aa, ta = a * a, t * a
+        # a split prime's norm a^2 - t*a*b + b^2 is a prime above char, the
+        # least norm above 1
+        primes += [
+            (n, a, b) for b in _strip(ring, bound, a) if flags[n := aa + b * (b - ta)] and n > char
+        ]
     if char <= bound:
         primes.append((char, ring.minimal_prime.a, ring.minimal_prime.b))
-    inert = (q for q in range(2, isqrt(bound) + 1) if ring.is_inert(q) and spf[q] == q)
+    inert = (q for q in range(2, isqrt(bound) + 1) if ring.is_inert(q) and flags[q])
     primes += [(q * q, q, 0) for q in inert]
     primes.sort()
     return primes
@@ -240,10 +245,10 @@ def _oracle_check(x: QuadInt, fac: Factorization, n: int) -> list[QuadInt]:
     return []
 
 
-def _finding(ring: Ring, n: int, sn: int, xa: int, xb: int, sa: int, sb: int) -> Classification:
-    """The finding of the class of x = xa + xb*theta, of norm n, whose sigma
-    sa + sb*theta has norm sn: x turns into the sector, and both norms are
-    checked on the pairs, or ScanInvariantError is raised."""
+def _finding(ring: Ring, n: int, sn: int, xa: int, xb: int, sa: int, sb: int) -> tuple:
+    """The integer row of the class of x = xa + xb*theta, of norm n, whose
+    sigma sa + sb*theta has norm sn: x turns into the sector, and both norms
+    are checked on the pairs, or ScanInvariantError is raised."""
     t = ring.t
     # times the generator t + theta of the units until in the sector
     while not (xb >= 0 and xa > t * xb):
@@ -252,10 +257,10 @@ def _finding(ring: Ring, n: int, sn: int, xa: int, xb: int, sa: int, sb: int) ->
         raise ScanInvariantError(f"norms {n}, {sn} do not fit x {xa}, {xb}, sigma {sa}, {sb}")
     # minimal_prime * x: (1+i)(a+bi) resp. (2+w)(a+bw)
     perfect = sa == (1 + t) * xa - xb and sb == xa + xb
-    return Classification(n, xa, xb, QuadInt(ring, sa, sb), sn, perfect)
+    return (n, xa, xb, sa, sb, sn, perfect)
 
 
-def _walk_chunk(starts: list[tuple[int, int]]) -> tuple[int, list[Classification]]:
+def _walk_chunk(starts: list[tuple[int, int]]) -> tuple[int, list[tuple]]:
     """Visit the classes of each start (v, i): those of minimal-prime
     exponent v whose least other prime is the table's i-th, or for i = 0
     the root minimal_prime**v alone.  Returns (classes visited, findings).
@@ -268,7 +273,7 @@ def _walk_chunk(starts: list[tuple[int, int]]) -> tuple[int, list[Classification
     ring, bound, rows, norms = _CTX["ring"], _CTX["bound"], _CTX["rows"], _CTX["norms"]
     t, char = ring.t, ring.residue_char
     visited = 0
-    findings: list[Classification] = []
+    findings: list[tuple] = []
 
     def walk(lo, hi, n, sn, xa, xb, sa, sb):
         nonlocal visited
@@ -318,6 +323,8 @@ def factor_sweep(
     sector order, stopping after the first point at which more than
     _MAX_FAILURES are held."""
     ctx = _build_context(ring, bound)
+    if "spf" not in ctx:
+        ctx["spf"] = _shared(bound, "spf", smallest_prime_factor_sieve)
     if "split_pi" not in ctx:
         # a sector prime above each split q, the split_lookup factor() takes
         ctx["split_pi"] = {
@@ -357,8 +364,12 @@ class SearchReport:
     parity: str
     scanned: int
     pruned: int
-    findings: tuple[Classification, ...]
+    rows: tuple[tuple, ...]  # the findings as sorted Classification.row tuples
     wall_time: float
+
+    @property
+    def findings(self) -> tuple[Classification, ...]:
+        return tuple(Classification.from_row(self.ring, row) for row in self.rows)
 
     def json_text(self, **extra) -> str:
         """The report as json.dumps({**self.to_json(), **extra},
@@ -379,7 +390,7 @@ class SearchReport:
         }
         before = "".join(text + ", " for key, text in items.items() if key < "findings")
         after = "".join(", " + text for key, text in items.items() if key > "findings")
-        rows = json_rows(self.ring, self.findings, with_unit=True)
+        rows = json_rows(self.ring, self.rows, with_unit=True)
         # one copy of the findings text, then one of the whole: each copy of
         # a large report adds its size to the peak
         return f'{{{before}"findings": [{", ".join(rows)}]{after}}}'
@@ -453,7 +464,7 @@ def sector_scan(
             continue
         starts += [(v, i) for i in range(bisect_right(norms, limit, 1, len(norms) - 1))]
     scanned = pruned
-    findings: list[Classification] = []
+    findings: list[tuple] = []
     work = [starts[k::_WALK_CHUNKS] for k in range(min(_WALK_CHUNKS, len(starts)))]
     for visited, fs in run_chunks(_walk_chunk, work, jobs):
         scanned += visited
@@ -468,14 +479,14 @@ def sector_scan(
         raise ScanInvariantError(
             f"scanned {scanned} of the {want} {parity} classes of norm <= {norm_bound}"
         )
-    findings.sort(key=attrgetter("norm", "a", "b"))
+    findings.sort()  # by (norm, a, b), which no two classes share
     return SearchReport(
         ring=ring,
         norm_bound=norm_bound,
         parity=parity,
         scanned=scanned,
         pruned=pruned,
-        findings=tuple(findings),
+        rows=tuple(findings),
         wall_time=time.monotonic() - t0,
     )
 

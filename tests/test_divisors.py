@@ -5,8 +5,9 @@ import pytest
 from cycloperfect import divisors
 from cycloperfect.divisors import (
     Status,
+    _STATUS,
     _is_primitive,
-    _status,
+    _sign,
     check_mcdaniel_inequality,
     check_odd_power_divisibility,
     check_spira_inequality,
@@ -158,10 +159,14 @@ class TestClassify:
         ]
         for ring in Ring:
             mine = [row for row in rows if row.ring is ring]
-            assert json_rows(ring, mine, with_unit=False) == [reference_text(r) for r in mine]
-            units = [r.perfect_unit for r in mine]
-            assert json_rows(ring, mine, with_unit=True) == [
-                reference_text(r, u) for r, u in zip(mine, units)
+            for r in mine:
+                # classify's output: its one row with its primitive value
+                text = json_rows(ring, [r.row()], with_unit=False, primitive=r.primitive)
+                assert text == [reference_text(r)]
+            # a scan's rows: primitivity unchecked, the perfect unit added
+            scanned = [r for r in mine if r.primitive is None]
+            assert json_rows(ring, [r.row() for r in scanned], with_unit=True) == [
+                reference_text(r, r.perfect_unit) for r in scanned
             ]
         assert json_rows(GAUSSIAN, [], with_unit=True) == []
 
@@ -177,9 +182,9 @@ class TestClassify:
         # equality, abundant above
         c = ring.minimal_prime.norm()
         for n in (1, 5, 7, 12, 10**30 + 1):
-            assert _status(c, n, c * n - 1) is Status.DEFICIENT
-            assert _status(c, n, c * n) is Status.NORM_PERFECT
-            assert _status(c, n, c * n + 1) is Status.ABUNDANT
+            assert _STATUS[_sign(c, n, c * n - 1)] is Status.DEFICIENT
+            assert _STATUS[_sign(c, n, c * n)] is Status.NORM_PERFECT
+            assert _STATUS[_sign(c, n, c * n + 1)] is Status.ABUNDANT
 
     def test_is_primitive_detects_normperfect_divisor(self):
         # any lattice containing the 2+i class has a norm-perfect divisor

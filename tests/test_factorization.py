@@ -4,7 +4,7 @@ from math import isqrt
 import pytest
 
 from cycloperfect import search
-from cycloperfect.divisors import classify
+from cycloperfect.divisors import Classification, classify
 from cycloperfect.factorization import (
     _conjugate_prime,
     factor,
@@ -299,7 +299,7 @@ def _certify(x, claim):
         _pn, _psn, pa, pb, qa, qb = row[k - 1]
         y, s = y * QuadInt(ring, pa, pb), s * QuadInt(ring, qa, qb)
     sn = classify(x, factorization=factor(x)).sigma_norm
-    return search._finding(ring, x.norm(), sn, y.a, y.b, s.a, s.b)
+    return Classification.from_row(ring, search._finding(ring, x.norm(), sn, y.a, y.b, s.a, s.b))
 
 
 def _shifted(claim):

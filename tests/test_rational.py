@@ -15,6 +15,7 @@ from cycloperfect.rational import (
     factor_rational,
     factor_with_sieve,
     is_rational_prime,
+    prime_flags,
     smallest_prime_factor_sieve,
 )
 from cycloperfect.rings import QuadInt, Ring
@@ -534,6 +535,14 @@ class TestSieve:
         # last entry is the only multiple of 211 the sieve writes
         for limit in (*range(201), 20_000, 211**2):
             assert smallest_prime_factor_sieve(limit) == _spf_loop(limit), limit
+
+    def test_flags_match_spf(self):
+        # prime_flags(limit)[k] is 1 exactly when k >= 2 and spf[k] == k,
+        # for every small limit and a larger one
+        for limit in (*range(2001), 10**5):
+            spf = smallest_prime_factor_sieve(limit)
+            want = [int(k > 1 and spf[k] == k) for k in range(limit + 1)]
+            assert list(prime_flags(limit)) == want, limit
 
     def test_factor_with_sieve_matches(self):
         spf = smallest_prime_factor_sieve(50_000)

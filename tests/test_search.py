@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 
 from cycloperfect import cli, search
 from cycloperfect.divisors import (
+    Classification,
     Status,
     _geometric_sum,
     classify,
@@ -185,39 +187,70 @@ class TestSectorScan:
             parity="all",
             scanned=1,
             pruned=0,
-            findings=(cls,),
+            rows=(cls.row(),),
             wall_time=0.0,
         )
+        assert report.findings == (cls,)
         assert report.to_json()["findings"] == [reference_json(cls, -i)]
         assert report.csv_rows()[1][-1] == "0-1i"
 
 
 class TestSectorContext:
-    def test_each_context_is_built_once(self, monkeypatch):
-        monkeypatch.setattr(search, "_BUILT", {})
+    @staticmethod
+    def _count(monkeypatch, name):
+        """Replace search's binding of a sieve by one that logs each limit."""
         sieved = []
-        sieve = search.smallest_prime_factor_sieve
+        sieve = getattr(search, name)
 
         def counting_sieve(limit):
             sieved.append(limit)
             return sieve(limit)
 
-        monkeypatch.setattr(search, "smallest_prime_factor_sieve", counting_sieve)
+        monkeypatch.setattr(search, name, counting_sieve)
+        return sieved
+
+    def test_each_context_is_built_once(self, monkeypatch):
+        monkeypatch.setattr(search, "_BUILT", {})
+        flagged = self._count(monkeypatch, "prime_flags")
+        spf = self._count(monkeypatch, "smallest_prime_factor_sieve")
         bound = 1_234
         search._build_context(GAUSSIAN, bound)
         rows = search._CTX["rows"]
         search._build_context(GAUSSIAN, bound)
-        assert sieved == [bound]
+        assert flagged == [bound]
         assert search._CTX["rows"] is rows
-        # the other ring reuses the ring-independent sieve
+        # the other ring reuses the ring-independent flags
         search._build_context(EISENSTEIN, bound)
-        assert sieved == [bound]
+        assert flagged == [bound]
         assert search._CTX["ring"] is EISENSTEIN
-        assert search._CTX["spf"] is search._BUILT[GAUSSIAN]["spf"]
+        assert search._CTX["flags"] is search._BUILT[GAUSSIAN]["flags"]
         assert sector_primes(GAUSSIAN, bound)[0] == g(1, 1)
-        assert sieved == [bound]
+        assert flagged == [bound]
         search._build_context(GAUSSIAN, bound + 1)
-        assert sieved == [bound, bound + 1]
+        assert flagged == [bound, bound + 1]
+        assert spf == []
+
+    def test_a_scan_never_sieves_spf(self, monkeypatch):
+        monkeypatch.setattr(search, "_BUILT", {})
+        spf = self._count(monkeypatch, "smallest_prime_factor_sieve")
+        for ring in Ring:
+            for parity in ("odd", "even"):
+                sector_scan(ring, 3_000, parity=parity, jobs=1)
+        assert spf == []
+        assert "spf" not in search._CTX
+
+    def test_factor_sweep_sieves_spf_once_per_bound(self, monkeypatch):
+        monkeypatch.setattr(search, "_BUILT", {})
+        spf = self._count(monkeypatch, "smallest_prime_factor_sieve")
+        bound = 1_234
+        sector_scan(GAUSSIAN, bound, jobs=1)
+        for ring in (GAUSSIAN, GAUSSIAN, EISENSTEIN):
+            swept = factor_sweep(ring, bound, search._oracle_check, jobs=1)
+            assert swept == (count_sector_classes(ring, bound), [])
+        assert spf == [bound]
+        assert search._BUILT[EISENSTEIN]["spf"] is search._BUILT[GAUSSIAN]["spf"]
+        factor_sweep(GAUSSIAN, bound + 1, search._oracle_check, jobs=1)
+        assert spf == [bound, bound + 1]
 
     def test_a_failed_build_is_not_kept(self, monkeypatch):
         install, message = FAULTS["repeated"]
@@ -225,6 +258,19 @@ class TestSectorContext:
         with pytest.raises(ScanInvariantError, match=message):
             search._build_context(GAUSSIAN, 1_234)
         assert search._BUILT == {}
+
+
+@functools.lru_cache(maxsize=None)
+def _peeled_classes(ring, bound):
+    """(minimal-prime exponent, classify's row) of each class that
+    iter_sector yields, from peeling's factorization."""
+    classes = []
+    for a, b, _ in iter_sector(ring, bound):
+        x = QuadInt(ring, a, b)
+        fac = peel_factor(x)
+        v = dict(fac.factors).get(ring.minimal_prime, 0)
+        classes.append((v, classify(x, factorization=fac)))
+    return classes
 
 
 class TestWalk:
@@ -235,12 +281,7 @@ class TestWalk:
         # class of its parity that iter_sector yields
         bound = 20_000
         allowed = NORM_PERFECT_K_RESIDUES[ring]
-        classes = []
-        for a, b, _ in iter_sector(ring, bound):
-            x = QuadInt(ring, a, b)
-            fac = peel_factor(x)
-            v = dict(fac.factors).get(ring.minimal_prime, 0)
-            classes.append((v, classify(x, factorization=fac)))
+        classes = _peeled_classes(ring, bound)
         for parity in ("all", "odd", "even"):
             kept = [(v, cls) for v, cls in classes if parity == "all" or (v > 0) == (parity == "even")]
             for prune in (False, True):
@@ -254,6 +295,37 @@ class TestWalk:
                 assert report.scanned == len(kept), (parity, prune)
                 assert report.pruned == sum(skipped), (parity, prune)
                 assert report.findings == tuple(sorted(want)), (parity, prune)
+
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_row_layout_round_trips(self, ring):
+        # the integer row keeps every field of classify's row but primitive,
+        # in the layout the walk writes
+        classes = [cls for _, cls in _peeled_classes(ring, 20_000)]
+        for cls in classes:
+            assert Classification.from_row(ring, cls.row()) == cls
+        want = sorted(cls for cls in classes if cls.status is not Status.DEFICIENT)
+        report = sector_scan(ring, 20_000, jobs=1)
+        assert report.rows == tuple(cls.row() for cls in want)
+        assert report.findings == tuple(want)
+
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_walk_returns_plain_integers(self, ring, monkeypatch):
+        # what crosses the pool is cheap to pickle: each chunk's class count
+        # and findings hold nothing but ints and bools
+        returned = []
+
+        def recording_walk(starts):
+            returned.append(_WALK_CHUNK(starts))
+            return returned[-1]
+
+        monkeypatch.setattr(search, "_walk_chunk", recording_walk)
+        report = sector_scan(ring, 20_000, jobs=1)
+        assert sum(len(found) for _, found in returned) == len(report.findings) > 0
+        for visited, found in returned:
+            assert type(visited) is int and type(found) is list
+            for row in found:
+                assert type(row) is tuple and len(row) == 7, row
+                assert {type(v) for v in row} <= {int, bool}, row
 
     def test_table_rows(self):
         # every row j of every prime's table entry holds N(pi)**j, the
