@@ -5,7 +5,10 @@ runs produce byte-identical output apart from wall-time fields); --pretty
 switches to an indented rendering plus aligned tables for list-shaped
 results.  Exit codes: 0 success, 1 verification failure, 2 scan invariant
 breach, 64 parse/usage error, 65 domain error, 130 interrupted (SIGINT or
-SIGTERM).
+SIGTERM).  --jobs sets the worker count of parallel.run_chunks for the
+commands that take it; an interrupt kills those workers before the command
+exits.  Only `verify` and `cyclo` load the verify and cyclotomic modules, so
+every other command starts without them.
 """
 
 from __future__ import annotations
@@ -17,19 +20,6 @@ import os
 import signal
 import sys
 
-from .cyclotomic import (
-    AbstractOddFactorization,
-    CycElement,
-    SUPPORTED_PRIMES,
-    cyc_is_even,
-    cyc_mersenne_norm,
-    cyc_norm,
-    discriminant,
-    ramification_check,
-    residue_degree,
-    splitting_pattern_check,
-    validate_general_odd_form,
-)
 from .divisors import classify, json_rows, sigma
 from .factorization import factor
 from .mersenne import scan
@@ -38,6 +28,7 @@ from .rational import (
     MR_ROUNDS_LARGE,
     PRIMALITY_SEED,
     TRIAL_DIVISION_BOUND,
+    VERIFY_SEED,
 )
 from .rings import _ELEMENT_RE, ElementParseError, QuadInt, Ring, parse_element
 from .search import (
@@ -46,7 +37,10 @@ from .search import (
     find_normperfect_primes,
     sector_scan,
 )
-from .verify import DEFAULTS, SUITE_NAMES, run_suite
+
+# verify and cyclotomic are imported inside the commands that use them (and
+# the suite argument's check): no other command runs them, so no other
+# command pays for importing them.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -75,7 +69,7 @@ def _config_header() -> dict:
         "mr_rounds_large": MR_ROUNDS_LARGE,
         "primality_seed": PRIMALITY_SEED,
         "factor_seed": FACTOR_SEED,
-        "verify_seed": DEFAULTS["seed"],
+        "verify_seed": VERIFY_SEED,
     }
 
 
@@ -107,6 +101,16 @@ def _jobs(value: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"jobs must be a positive integer, not {value!r}")
     return jobs
+
+
+def _suite(value: str) -> str:
+    from .verify import SUITE_NAMES
+
+    if value not in SUITE_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"unknown suite {value!r}; choose from {', '.join(SUITE_NAMES)}"
+        )
+    return value
 
 
 def _residue_set(value: str) -> set[int]:
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run named invariant suites")
     p.set_defaults(func=_cmd_verify)
-    p.add_argument("suite", choices=SUITE_NAMES)
+    p.add_argument("suite", type=_suite, help="a suite name; an unknown one lists them")
     p.add_argument("--jobs", type=_jobs, default=None)
     return parser
 
@@ -337,6 +341,20 @@ def _cyc_coeffs(text: str) -> list[int]:
 
 
 def _cmd_cyclo(args) -> int:
+    from .cyclotomic import (
+        SUPPORTED_PRIMES,
+        AbstractOddFactorization,
+        CycElement,
+        cyc_is_even,
+        cyc_mersenne_norm,
+        cyc_norm,
+        discriminant,
+        ramification_check,
+        residue_degree,
+        splitting_pattern_check,
+        validate_general_odd_form,
+    )
+
     p = args.p
     cmd = args.cyclo_command
     if cmd == "discriminant":
@@ -375,6 +393,8 @@ def _cmd_cyclo(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import DEFAULTS, run_suite
+
     result = run_suite(
         args.suite, jobs=args.jobs, log=lambda line: sys.stderr.write(line + "\n")
     )

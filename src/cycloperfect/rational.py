@@ -29,9 +29,11 @@ from functools import lru_cache
 from itertools import compress, count, islice
 from math import gcd, isqrt, prod
 
-# Seeds for the randomized splitting / large-number witness choices.
+# Seeds for the randomized splitting / large-number witness choices, and for
+# the verify suites' random samples; every report's config prints all three.
 PRIMALITY_SEED = 0x1D8A_5EED
 FACTOR_SEED = 0xB1D_5EED
+VERIFY_SEED = 0xD1CE
 
 TRIAL_DIVISION_BOUND = 10_000
 MR_ROUNDS_LARGE = 40

@@ -2,9 +2,9 @@
 
 Each check returns a list of failure records (empty = pass); a suite runs
 its checks in order and collects the failures.  All randomized checks draw
-from generators seeded with the constants below, and every default bound
-is part of DEFAULTS so reports can print the exact configuration they ran
-under.
+from generators seeded from rational.VERIFY_SEED, kept beside the other
+seeds, and every default bound is part of DEFAULTS so reports can print the
+exact configuration they ran under.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 from . import cyclotomic as cyc
 from .divisors import (
+    Classification,
     Status,
+    _sign,
     check_mcdaniel_inequality,
     check_odd_power_divisibility,
     check_spira_inequality,
@@ -35,6 +37,7 @@ from .mersenne import (
 from .rational import (
     MR_ROUNDS_LARGE,
     TRIAL_DIVISION_BOUND,
+    VERIFY_SEED,
     is_rational_prime,
 )
 from .rings import QuadInt, Ring, _divrem, gcd, parse_element
@@ -52,8 +55,6 @@ from .search import (
     validate_parker_form,
     validate_ward_form,
 )
-
-VERIFY_SEED = 0xD1CE
 
 DEFAULTS = {
     "seed": VERIFY_SEED,
@@ -540,11 +541,22 @@ def _check_equation(jobs) -> list[dict]:
     return []
 
 
+def _norm_perfect_findings(report) -> list[Classification]:
+    """The report's norm-perfect findings, picked from its integer rows by
+    their status sign: only those rows become Classifications."""
+    char = report.ring.residue_char
+    return [
+        Classification.from_row(report.ring, row)
+        for row in report.rows
+        if not _sign(char, row[0], row[5])
+    ]
+
+
 def _check_even_scan(jobs) -> list[dict]:
     report = sector_scan(
         Ring.EISENSTEIN, DEFAULTS["even_scan_bound"], parity="even", jobs=jobs
     )
-    bad = [f for f in report.findings if f.status is Status.NORM_PERFECT]
+    bad = _norm_perfect_findings(report)
     if bad:
         return [_fail("even_norm_perfect_scan", DEFAULTS["even_scan_bound"], [], bad)]
     return []
@@ -571,9 +583,7 @@ def _check_prune_no_loss(jobs) -> list[dict]:
     pruned = sector_scan(Ring.EISENSTEIN, bound, parity="even", jobs=jobs, prune=True)
 
     def norm_perfect_set(report):
-        return {
-            str(f.element) for f in report.findings if f.status is Status.NORM_PERFECT
-        }
+        return {str(f.element) for f in _norm_perfect_findings(report)}
 
     if norm_perfect_set(plain) != norm_perfect_set(pruned):
         return [_fail("prune_no_loss", bound, norm_perfect_set(plain), norm_perfect_set(pruned))]
@@ -685,9 +695,7 @@ def _check_odd_divisor_bound(jobs) -> list[dict]:
 def _check_odd_gaussian_scan(jobs) -> list[dict]:
     bound = DEFAULTS["odd_gaussian_scan_bound"]
     report = sector_scan(Ring.GAUSSIAN, bound, parity="odd", jobs=jobs)
-    norm_perfect = [
-        f.element for f in report.findings if f.status is Status.NORM_PERFECT
-    ]
+    norm_perfect = [f.element for f in _norm_perfect_findings(report)]
     failures = []
     if QuadInt(Ring.GAUSSIAN, 2, 1) not in norm_perfect:
         failures.append(_fail("odd_gaussian_scan", bound, "2+1i found", norm_perfect))

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -336,6 +339,26 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
         assert exc.value.code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert "unknown suite 'everything'" in err
+        for suite in ("core", "lemmas", "mersenne", "search", "cyclo", "all"):
+            assert suite in err
+
+
+def test_import_leaves_out_verify_cyclotomic_and_pool_modules():
+    # only verify and cyclo import these; every other command starts without them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys, cycloperfect.cli; "
+        "print(sorted(m for m in ('cycloperfect.verify', 'cycloperfect.cyclotomic', "
+        "'concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(
