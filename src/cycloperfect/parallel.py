@@ -58,6 +58,7 @@ def run_chunks(fn, work, jobs):
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         yield from _results(work, workers)
     finally:
+        # blocked here too, so a second interrupt cannot leave a worker unreaped
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, _MASKED)
         try:
             for pid, _, _ in workers:
@@ -127,6 +128,7 @@ def _results(work, workers):
             raise _lost(pid, index) from None
         held[results] = (pid, tasks, index)
 
+    # zip stops at the last worker before it draws another index
     for (pid, tasks, results), index in zip(workers, pending):
         deal(pid, tasks, results, index)
         poller.register(results, select.POLLIN)

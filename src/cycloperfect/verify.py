@@ -543,7 +543,8 @@ def _check_equation(jobs) -> list[dict]:
 
 def _norm_perfect_findings(report) -> list[Classification]:
     """The report's norm-perfect findings, picked from its integer rows by
-    their status sign: only those rows become Classifications."""
+    their status sign: only those rows become Classifications.  A row is
+    Classification.row(): row[0] is the norm and row[5] N(sigma)."""
     char = report.ring.residue_char
     return [
         Classification.from_row(report.ring, row)
