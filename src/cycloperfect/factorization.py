@@ -123,17 +123,11 @@ def _split_exponents(a: int, b: int, q: int, e: int, t: int) -> tuple[int, int]:
     return k + rest, k
 
 
-def factor(
-    x: QuadInt,
-    *,
-    norm_factors: list[tuple[int, int]] | None = None,
-    split_lookup: dict[int, QuadInt] | None = None,
-) -> Factorization:
+def factor(x: QuadInt, *, norm_factors: list[tuple[int, int]] | None = None) -> Factorization:
     """Factor a nonzero element into a unit and sector-canonical primes.
 
     norm_factors may carry a precomputed rational factorization of norm(x)
-    (e.g. from a sieve during bulk scans); split_lookup may pre-resolve the
-    split prime above q.  Neither changes the result, only the cost.
+    (e.g. from a sieve during bulk sweeps); it changes only the cost.
     For q of exponent e in the norm, the ramified prime takes e, an inert q
     e/2, and a split q's two primes share e by _split_exponents.  The
     product of the prime powers must divide x to a unit, or ArithmeticError
@@ -154,9 +148,7 @@ def factor(
                 raise ArithmeticError(f"inert {q} has the odd exponent {e} in N({x})")
             out.append((QuadInt(ring, q, 0), e // 2))
         else:
-            pi = split_lookup.get(q) if split_lookup else None
-            if pi is None:
-                pi = prime_above(q, ring)
+            pi = prime_above(q, ring)
             t = -pi.a * pow(pi.b, -1, q) % q
             j, j_bar = _split_exponents(x.a, x.b, q, e, t)
             if j:

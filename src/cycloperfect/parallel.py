@@ -1,16 +1,15 @@
-"""The one process-pool runner shared by the sector scans, the Mersenne
-sweeps and the Z[zeta_p] records.
+"""The one process-pool runner shared by the sector scans, the verify
+sweeps, the Mersenne sweeps and the Z[zeta_p] records.
 
-With more than one job, run_chunks forks its workers with os.fork, so they
-see whatever the parent published at module level before the call (the
-scans' sieve context) and read each item by its index in the list they
-inherited: no item is pickled.  Each worker has two pipes, one that deals it
-indices and one that carries back a length-prefixed pickled (ok, result or
-exception) frame per item.  A worker is dealt its next index when it returns
-a result, so items go out in the caller's order (largest first, where the
-caller sorted them), and results come back in input order, so merged output
-never depends on the number of processes.  The program starts no thread, so
-forking it is safe.
+With more than one job, run_chunks forks its workers with os.fork, and they
+read each item by its index in the list they inherited: no item, nor what
+it holds (a walk's prime table), is pickled.  Each worker has two pipes,
+one that deals it indices and one that carries back a length-prefixed
+pickled (ok, result or exception) frame per item.  A worker is dealt its
+next index when it returns a result, so items go out in the caller's order
+(largest first, where the caller sorted them), and results come back in
+input order, so merged output never depends on the number of processes.
+The program starts no thread, so forking it is safe.
 """
 
 from __future__ import annotations

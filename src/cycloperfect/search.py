@@ -6,10 +6,11 @@ depth-first walk over the sector primes, found on a table of prime flags,
 builds each class from its prime powers, carrying its norm and the norm of
 its sigma as integers (_walk_chunk).  Every non-deficient class becomes a
 finding, an integer row (divisors.Classification.row), and the report
-writes its JSON text straight from the rows (divisors.json_rows).  The
-number of classes visited must equal an independent count of the region
-(count_sector_classes).  Workers return plain integer rows and the parent
-sorts them, so reports are identical no matter how many processes run."""
+writes its JSON text straight from the rows (divisors.json_rows).  verify's
+sweeps walk the same table, factorization and sigma in hand (factor_sweep).
+The number of classes visited must equal an independent count of the
+region (count_sector_classes).  Results come back in input order and are
+sorted, so reports are identical no matter how many processes run."""
 
 from __future__ import annotations
 
@@ -25,25 +26,19 @@ from .divisors import (
     classify,
     divisor_sum_from_factorization,
     json_rows,
-    sigma_from_factorization,
 )
 from .factorization import Factorization, factor
 from .mersenne import NORM_PERFECT_K_RESIDUES
 from .parallel import run_chunks
-from .rational import (
-    factor_with_sieve,
-    is_rational_prime,
-    prime_flags,
-    smallest_prime_factor_sieve,
-)
+from .rational import is_rational_prime, prime_flags, smallest_prime_factor_sieve
 from .rings import QuadInt, Ring
 
 DEFAULT_SCAN_LIMIT = 200_000
 PRIME_SEARCH_LIMIT = 10**6
-_CHUNK_TARGET_POINTS = 6_000
-# a sector scan deals the subtrees of its walk round-robin into this many chunks
+# chunks a walk's subtrees are dealt into: a sweep's classes cost more, so it deals finer
 _WALK_CHUNKS = 8
-# a factor sweep stops after the first point at which it holds more failures
+_SWEEP_CHUNKS = 32
+# a factor sweep stops once it holds more failures than this
 _MAX_FAILURES = 20
 
 
@@ -108,28 +103,25 @@ def count_lattice_points(ring: Ring, bound: int) -> int:
 
 # -- shared worker context ------------------------------------------------------
 #
-# Sweeps fork their workers, so the parent publishes the (large, read-only)
-# sieve and prime table as _CTX right before creating the pool.  _BUILT keeps
+# Each item a walk deals carries the (large, read-only) context, which forked
+# workers inherit with the list of items: it is never pickled.  _BUILT keeps
 # the last context built for each ring: a sweep of the same ring and bound
 # reuses it, and the other ring at the same bound its sieves (_shared).
 
-_CTX: dict = {}
 _BUILT: dict[Ring, dict] = {}
 
 
 def _build_context(ring: Ring, bound: int) -> dict:
-    """Publish the prime flags and the prime table, the one enumeration of
-    the sector's primes, as _CTX and return it.  rows[i] belongs to the i-th
-    sector prime pi of norm <= bound in (norm, a, b) order (rows[0] is the
-    minimal prime) and holds (N(pi)**j, N(sigma(pi**j)), pi**j, sigma(pi**j))
-    for each j >= 1 with N(pi)**j <= bound, elements as integer pairs.
-    norms[i] is N(pi), and norms[-1] = bound + 1 stops every walk."""
-    global _CTX
+    """The prime flags and the prime table, the one enumeration of the
+    sector's primes.  rows[i] belongs to the i-th sector prime pi of norm
+    <= bound in (norm, a, b) order (rows[0] is the minimal prime) and holds
+    (N(pi)**j, N(sigma(pi**j)), pi**j, sigma(pi**j)) for each j >= 1 with
+    N(pi)**j <= bound, elements as integer pairs.  norms[i] is N(pi), and
+    norms[-1] = bound + 1 stops every walk."""
     ctx = _BUILT.get(ring)
     if ctx is None or ctx["bound"] != bound:
         ctx = _new_context(ring, bound)
         _BUILT[ring] = ctx
-    _CTX = ctx
     return ctx
 
 
@@ -199,52 +191,6 @@ def _prime_rows(ring: Ring, bound: int, primes: list[tuple[int, int, int]]) -> l
     return rows
 
 
-def _chunks(ring: Ring, bound: int) -> list[tuple[int, int]]:
-    """Contiguous a-intervals of roughly equal point counts."""
-    rng = a_range(ring, bound)
-    chunks = []
-    start = None
-    points = 0
-    for a in rng:
-        if start is None:
-            start = a
-        points += len(_strip(ring, bound, a))
-        if points >= _CHUNK_TARGET_POINTS:
-            chunks.append((start, a + 1))
-            start, points = None, 0
-    if start is not None:
-        chunks.append((start, rng.stop))
-    return chunks
-
-
-def _sweep_chunk(args) -> tuple[int, list[list]]:
-    """Factor each point of the chunk and collect the non-empty results of
-    check(x, fac, n), one list per failing point, stopping once more than
-    _MAX_FAILURES are held."""
-    chunk, check = args
-    ring, bound, spf, split_pi = _CTX["ring"], _CTX["bound"], _CTX["spf"], _CTX["split_pi"]
-    checked = held = 0
-    failures: list[list] = []
-    for a in range(*chunk):
-        for b, n in strip_points(ring, bound, a):
-            x = QuadInt(ring, a, b)
-            fac = factor(x, norm_factors=factor_with_sieve(n, spf), split_lookup=split_pi)
-            found = check(x, fac, n)
-            checked += 1
-            if found:
-                failures.append(found)
-                held += len(found)
-                if held > _MAX_FAILURES:
-                    return checked, failures
-    return checked, failures
-
-
-def _oracle_check(x: QuadInt, fac: Factorization, n: int) -> list[QuadInt]:
-    if sigma_from_factorization(fac) != divisor_sum_from_factorization(fac):
-        return [x]
-    return []
-
-
 def _finding(ring: Ring, n: int, sn: int, xa: int, xb: int, sa: int, sb: int) -> tuple:
     """The integer row of the class of x = xa + xb*theta, of norm n, whose
     sigma sa + sb*theta has norm sn: x turns into the sector, and both norms
@@ -260,17 +206,18 @@ def _finding(ring: Ring, n: int, sn: int, xa: int, xb: int, sa: int, sb: int) ->
     return (n, xa, xb, sa, sb, sn, perfect)
 
 
-def _walk_chunk(starts: list[tuple[int, int]]) -> tuple[int, list[tuple]]:
-    """Visit the classes of each start (v, i): those of minimal-prime
-    exponent v whose least other prime is the table's i-th, or for i = 0
-    the root minimal_prime**v alone.  Returns (classes visited, findings).
+def _walk_chunk(item) -> tuple[int, list[tuple]]:
+    """Visit the classes of each start (v, i) of the item (ctx, starts): of
+    minimal-prime exponent v and least other prime the table's i-th, or for
+    i = 0 the root minimal_prime**v alone.  Returns (visited, findings).
 
     A node carries its norm and N(sigma), and x and sigma(x) as integer
     pairs where a finding or a child needs them; its children multiply in
     pi_k**j for each prime pi_k after its own in the table, so by unique
     factorization no class is visited twice.
     """
-    ring, bound, rows, norms = _CTX["ring"], _CTX["bound"], _CTX["rows"], _CTX["norms"]
+    ctx, starts = item
+    ring, bound, rows, norms = ctx["ring"], ctx["bound"], ctx["rows"], ctx["norms"]
     t, char = ring.t, ring.residue_char
     visited = 0
     findings: list[tuple] = []
@@ -311,45 +258,129 @@ def _walk_chunk(starts: list[tuple[int, int]]) -> tuple[int, list[tuple]]:
     return visited, findings
 
 
-# -- public sweeps ---------------------------------------------------------------
+def _every_class(ctx: dict, starts: list[tuple[int, int]]):
+    """Yield (n, x, fac, sigma) for every class of the starts, as _walk_chunk
+    visits them but skipping none: the norm, x in the sector, sigma(x) as an
+    integer pair and the walk's Factorization of x, whose unit is the power
+    of t + theta that turned the product into the sector and whose primes,
+    in table order, come from ctx["primes"], built once by factor_sweep."""
+    ring, bound, rows, norms = ctx["ring"], ctx["bound"], ctx["rows"], ctx["norms"]
+    t, units, primes = ring.t, ring.units, ctx["primes"]
+
+    def visit(n, xa, xb, sa, sb, powers):
+        r = 0
+        while not (xb >= 0 and xa > t * xb):
+            xa, xb, r = t * xa - xb, xa, r + 1
+        return n, QuadInt(ring, xa, xb), Factorization(units[r], powers), (sa, sb)
+
+    def walk(lo, hi, n, xa, xb, sa, sb, powers):
+        for k in range(lo, hi):
+            if n * norms[k] > bound:
+                break
+            for j, (pn, _, pa, pb, qa, qb) in enumerate(rows[k], 1):
+                m = n * pn
+                if m > bound:
+                    break
+                bd = xb * pb
+                ya, yb = xa * pa - bd, xa * pb + xb * pa - t * bd
+                bd = sb * qb
+                ta, tb = sa * qa - bd, sa * qb + sb * qa - t * bd
+                node = (m, ya, yb, ta, tb, (*powers, (primes[k], j)))
+                yield visit(*node)
+                if m * norms[k + 1] <= bound:
+                    yield from walk(k + 1, len(rows), *node)
+
+    for v, i in starts:
+        n, _, *pairs = rows[0][v - 1] if v else (1, 1, 1, 0, 1, 0)
+        root = (n, *pairs, ((primes[0], v),) if v else ())
+        yield from walk(i, i + 1, *root) if i else [visit(*root)]
 
 
-def factor_sweep(
-    ring: Ring, bound: int, check, jobs: int | None = None
-) -> tuple[int, list]:
-    """Factor every class representative of norm <= bound and run
-    check(x, fac, n) on each; check is a module-level function returning a
-    list of failures.  Returns (checked, failures) with the failures in
-    sector order, stopping after the first point at which more than
-    _MAX_FAILURES are held."""
-    ctx = _build_context(ring, bound)
-    if "spf" not in ctx:
-        ctx["spf"] = _shared(bound, "spf", smallest_prime_factor_sieve)
-    if "split_pi" not in ctx:
-        # a sector prime above each split q, the split_lookup factor() takes
-        ctx["split_pi"] = {
-            n: QuadInt(ring, a, b)
-            for (n, _, a, b, _, _), *_ in ctx["rows"]
-            if b and not ring.is_ramified(n)
-        }
-    checked = 0
-    failures: list = []
-    work = [(c, check) for c in _chunks(ring, bound)]
-    for c, found in run_chunks(_sweep_chunk, work, jobs):
-        checked += c
-        for point_failures in found:
-            failures.extend(point_failures)
-            if len(failures) > _MAX_FAILURES:
-                return checked, failures
+def _sweep_chunk(item) -> tuple[int, list[tuple]]:
+    """Run check(x, fac, n, sigma, spf) on each class of the item (ctx,
+    starts, check) and return (classes checked, ((n, a, b) of x, failure)
+    pairs), stopping once more than _MAX_FAILURES are held."""
+    ctx, starts, check = item
+    checked, failures = 0, []
+    for n, x, fac, sigma in _every_class(ctx, starts):
+        checked += 1
+        failures += [((n, x.a, x.b), f) for f in check(x, fac, n, sigma, ctx["spf"])]
+        if len(failures) > _MAX_FAILURES:
+            break
     return checked, failures
 
 
-def oracle_equivalence_sweep(
-    ring: Ring, bound: int, jobs: int | None = None
-) -> tuple[int, list[QuadInt]]:
-    """Compare sigma with the divisor-enumeration oracle on every class
-    representative of norm <= bound; returns (checked, mismatches)."""
-    return factor_sweep(ring, bound, _oracle_check, jobs)
+def _divisor_sum_mismatch(x: QuadInt, fac: Factorization, n: int, sigma, spf) -> list[QuadInt]:
+    s = divisor_sum_from_factorization(fac)
+    return [] if (s.a, s.b) == sigma else [x]
+
+
+def _deal(walker, ctx: dict, jobs, chunks: int, parity: str, prune: bool, *args):
+    """Deal the walk's starts (v, i) for the classes of this parity round-robin
+    into that many items (ctx, starts, *args) and return (pruned, results).
+    prune skips the even classes of a minimal-prime exponent no norm-perfect
+    class has, counted as pruned.  results yields (classes so far, pruned
+    included, walker's second result) per item in input order, then raises
+    ScanInvariantError unless every class of the parity was counted."""
+    ring, bound, norms = ctx["ring"], ctx["bound"], ctx["norms"]
+    char = ring.residue_char
+    # v = 0 roots the odd classes, each v >= 1 the even classes of
+    # minimal-prime exponent v, which have odd parts of norm <= limit
+    starts, pruned = [], 0
+    v_stop = 1 if parity == "odd" else bound.bit_length()
+    for v in range(1 if parity == "even" else 0, v_stop):
+        limit = bound // char**v
+        if not limit:
+            break
+        if prune and v and (v + 1) % 12 not in NORM_PERFECT_K_RESIDUES[ring]:
+            pruned += count_sector_classes(ring, limit) - count_sector_classes(ring, limit // char)
+            continue
+        starts += [(v, i) for i in range(bisect_right(norms, limit, 1, len(norms) - 1))]
+    work = [(ctx, starts[k::chunks], *args) for k in range(min(chunks, len(starts)))]
+
+    def results():
+        scanned = pruned
+        for visited, found in run_chunks(walker, work, jobs):
+            scanned += visited
+            yield scanned, found
+        # completeness: C(B) classes in all, C(B // char) of them even
+        every, even = count_sector_classes(ring, bound), count_sector_classes(ring, bound // char)
+        want = {"all": every, "odd": every - even, "even": even}[parity]
+        if scanned != want:
+            raise ScanInvariantError(
+                f"scanned {scanned} of the {want} {parity} classes of norm <= {bound}"
+            )
+
+    return pruned, results()
+
+
+# -- public sweeps ---------------------------------------------------------------
+
+
+def factor_sweep(ring: Ring, bound: int, check, jobs: int | None = None) -> tuple[int, list]:
+    """Run check(x, fac, n, sigma, spf) on every class of norm <= bound as
+    the walk builds it (_every_class), spf the smallest-prime-factor sieve
+    to bound.  Returns (checked, failures), sorted by their class's (norm,
+    a, b), stopping after the first chunk, in input order, that brings them
+    past _MAX_FAILURES; else every class must have been visited."""
+    ctx = _build_context(ring, bound)
+    if "spf" not in ctx:
+        ctx["spf"] = _shared(bound, "spf", smallest_prime_factor_sieve)
+        ctx["primes"] = sector_primes(ring, bound)
+    _, results = _deal(_sweep_chunk, ctx, jobs, _SWEEP_CHUNKS, "all", False, check)
+    checked, failures = 0, []
+    for checked, found in results:
+        failures += found
+        if len(failures) > _MAX_FAILURES:
+            break
+    failures.sort(key=lambda failure: failure[0])  # stable within a class
+    return checked, [f for _, f in failures]
+
+
+def oracle_equivalence_sweep(ring: Ring, bound: int, jobs: int | None = None) -> tuple[int, list]:
+    """The walk's sigma of every class of norm <= bound against the divisor
+    enumeration on the walk's factorization: (checked, mismatches)."""
+    return factor_sweep(ring, bound, _divisor_sum_mismatch, jobs)
 
 
 def sector_primes(ring: Ring, bound: int) -> list[QuadInt]:
@@ -448,37 +479,13 @@ def sector_scan(
     if norm_bound > DEFAULT_SCAN_LIMIT:
         raise ValueError(f"norm bound {norm_bound} exceeds the limit {DEFAULT_SCAN_LIMIT}")
     t0 = time.monotonic()
-    norms = _build_context(ring, norm_bound)["norms"]
-    char = ring.residue_char
-    # v = 0 roots the odd classes, each v >= 1 the even classes of
-    # minimal-prime exponent v, which have odd parts of norm <= limit
-    starts: list[tuple[int, int]] = []
-    pruned = 0
-    v_stop = 1 if parity == "odd" else norm_bound.bit_length()
-    for v in range(1 if parity == "even" else 0, v_stop):
-        limit = norm_bound // char**v
-        if not limit:
-            break
-        if prune and v and (v + 1) % 12 not in NORM_PERFECT_K_RESIDUES[ring]:
-            pruned += count_sector_classes(ring, limit) - count_sector_classes(ring, limit // char)
-            continue
-        starts += [(v, i) for i in range(bisect_right(norms, limit, 1, len(norms) - 1))]
-    scanned = pruned
-    findings: list[tuple] = []
-    work = [starts[k::_WALK_CHUNKS] for k in range(min(_WALK_CHUNKS, len(starts)))]
-    for visited, fs in run_chunks(_walk_chunk, work, jobs):
-        scanned += visited
-        findings.extend(fs)
+    ctx = _build_context(ring, norm_bound)
+    pruned, results = _deal(_walk_chunk, ctx, jobs, _WALK_CHUNKS, parity, prune)
+    scanned, findings = pruned, []
+    for scanned, found in results:
+        findings.extend(found)
         if progress_cb is not None:
             progress_cb(scanned)
-    # completeness: C(B) classes in all, C(B // char) of them even
-    count = count_sector_classes
-    every, even = count(ring, norm_bound), count(ring, norm_bound // char)
-    want = {"all": every, "odd": every - even, "even": even}[parity]
-    if scanned != want:
-        raise ScanInvariantError(
-            f"scanned {scanned} of the {want} {parity} classes of norm <= {norm_bound}"
-        )
     findings.sort()  # by (norm, a, b), which no two classes share
     return SearchReport(
         ring=ring,

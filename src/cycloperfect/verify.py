@@ -25,7 +25,7 @@ from .divisors import (
     sigma,
     sigma_from_factorization,
 )
-from .factorization import Factorization, is_ring_prime, prime_above
+from .factorization import Factorization, factor, is_ring_prime, prime_above
 from .mersenne import (
     candidate_factorization,
     composite_exponent_witness,
@@ -38,6 +38,7 @@ from .rational import (
     MR_ROUNDS_LARGE,
     TRIAL_DIVISION_BOUND,
     VERIFY_SEED,
+    factor_with_sieve,
     is_rational_prime,
 )
 from .rings import QuadInt, Ring, _divrem, gcd, parse_element
@@ -230,10 +231,13 @@ def _check_is_even_or(jobs) -> list[dict]:
     return failures
 
 
-def _recomposition_failures(x: QuadInt, fac: Factorization, n: int) -> list[dict]:
+def _recomposition_failures(x: QuadInt, walked: Factorization, n: int, sigma, spf) -> list[dict]:
+    """factor(x), by the sieve route, against the factorization the walk
+    built x from: the same unit, primes and exponents by two routes."""
+    fac = factor(x, norm_factors=factor_with_sieve(n, spf))
     failures = []
-    if fac.recompose() != x:
-        failures.append(_fail("recomposition", x, x, fac.recompose()))
+    if fac != walked:
+        failures.append(_fail("recomposition", x, walked, fac))
     if fac.norm() != n:
         failures.append(_fail("norm_product", x, n, fac.norm()))
     if x.is_even() != any(p == x.ring.minimal_prime for p, _ in fac.factors):
@@ -319,14 +323,11 @@ def _check_grammar_roundtrip(jobs) -> list[dict]:
 
 
 def _check_oracle_equivalence(jobs) -> list[dict]:
-    failures = []
-    for ring in Ring:
-        checked, mismatches = oracle_equivalence_sweep(
-            ring, DEFAULTS["oracle_norm_bound"], jobs=jobs
-        )
-        for x in mismatches:
-            failures.append(_fail("oracle_equivalence", x, "sigma == divisor sum", "mismatch"))
-    return failures
+    return [
+        _fail("oracle_equivalence", x, "sigma == divisor sum", "mismatch")
+        for ring in Ring
+        for x in oracle_equivalence_sweep(ring, DEFAULTS["oracle_norm_bound"], jobs)[1]
+    ]
 
 
 def _check_spira(jobs) -> list[dict]:

@@ -1,12 +1,17 @@
 """Faults injected into a sector scan's prime table, for the tests that
-expect a scan invariant breach.
+expect a scan invariant breach, and into the routes verify's sweeps compare.
 
-Each fault clears the cached contexts and wraps one step of the table's
-construction: the enumeration of (N(pi), a, b) triples or the rows built
-from them.  FAULTS maps each name to (install, the breach message).
+Each table fault clears the cached contexts and wraps one step of the
+table's construction: the enumeration of (N(pi), a, b) triples or the rows
+built from them.  FAULTS maps each name to (install, the breach message).
+conjugate_sigma keeps every norm, so no scan breaks on it and only the
+oracle sweep catches it; swapped_split_exponents wraps verify's factor,
+which only the recomposition sweep reads.
 """
 
-from cycloperfect import search
+from cycloperfect import search, verify
+from cycloperfect.factorization import Factorization, _conjugate_prime
+from cycloperfect.rings import QuadInt
 
 
 def _edit_primes(monkeypatch, edit):
@@ -42,19 +47,54 @@ def wrong_norm(monkeypatch):
     _edit_first_odd(monkeypatch, lambda n, a, b: (n + 1, a, b))
 
 
-def sigma_row(monkeypatch):
-    # N(sigma(pi)) of the first odd prime times the residue characteristic:
-    # pi itself, and the even classes it divides, look non-deficient
+def _edit_row(monkeypatch, edit, split=False):
+    """edit(ring, row) replaces the table row of pi**1 for the first odd
+    prime pi, or with split the first split one."""
     build_rows = search._prime_rows
 
     def rows(ring, bound, primes):
         out = build_rows(ring, bound, primes)
-        (pn, psn, *pairs), *higher = out[1]
-        out[1] = ((pn, psn * ring.residue_char, *pairs), *higher)
+        # after the minimal prime, a split prime is one with b > 0
+        k = next(k for k in range(1, len(out)) if out[k][0][3] or not split)
+        first, *higher = out[k]
+        out[k] = (edit(ring, first), *higher)
         return out
 
     monkeypatch.setattr(search, "_BUILT", {})
     monkeypatch.setattr(search, "_prime_rows", rows)
+
+
+def sigma_row(monkeypatch):
+    # N(sigma(pi)) of the first odd prime times the residue characteristic:
+    # pi itself, and the even classes it divides, look non-deficient
+    _edit_row(monkeypatch, lambda ring, row: (row[0], row[1] * ring.residue_char, *row[2:]))
+
+
+def conjugate_sigma(monkeypatch):
+    # sigma(pi) of the first split prime replaced by its conjugate, of the
+    # same norm: every class with pi**1 gets a wrong sigma
+    def edit(ring, row):
+        sigma = QuadInt(ring, row[4], row[5]).conjugate()
+        return (*row[:4], sigma.a, sigma.b)
+
+    _edit_row(monkeypatch, edit, split=True)
+
+
+def swapped_split_exponents(monkeypatch):
+    # verify's factor gives each split prime's exponent to the conjugate
+    # prime above the same q
+    real = verify.factor
+
+    def swapped(x, **kwargs):
+        fac = real(x, **kwargs)
+        split = [
+            (_conjugate_prime(p) if p.b and p != x.ring.minimal_prime else p, e)
+            for p, e in fac.factors
+        ]
+        split.sort(key=lambda f: (f[0].norm(), f[0].a, f[0].b))
+        return Factorization(fac.unit, tuple(split))
+
+    monkeypatch.setattr(verify, "factor", swapped)
 
 
 FAULTS = {

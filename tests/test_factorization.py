@@ -200,12 +200,6 @@ class TestFactor:
                 f = factor(x, norm_factors=factor_with_sieve(n, spf))
                 assert f.recompose() == x
 
-    def test_split_lookup_conjugate_choice_is_irrelevant(self):
-        x = e(7) * e(3, 1) ** 2 * e(4, 1)
-        base = factor(x)
-        alt = factor(x, split_lookup={7: e(3, 2), 13: e(4, 3)})
-        assert base == alt
-
     def test_mersenne_scale_element(self):
         # norm has a ~38-digit split prime factor; exercises the gcd route
         from cycloperfect.mersenne import mersenne_element

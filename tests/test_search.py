@@ -12,7 +12,7 @@ from math import isqrt
 
 import pytest
 
-from cycloperfect import cli, search
+from cycloperfect import cli, search, verify
 from cycloperfect.divisors import (
     Classification,
     Status,
@@ -43,7 +43,7 @@ from cycloperfect.search import (
 from cycloperfect.verify import DEFAULTS, _check_recomposition_sweep, sector_primes
 from classification_json import reference_json
 from peeling import peel_factor
-from table_faults import FAULTS
+from table_faults import FAULTS, conjugate_sigma, swapped_split_exponents
 
 
 def e(a, b=0):
@@ -214,16 +214,14 @@ class TestSectorContext:
         flagged = self._count(monkeypatch, "prime_flags")
         spf = self._count(monkeypatch, "smallest_prime_factor_sieve")
         bound = 1_234
-        search._build_context(GAUSSIAN, bound)
-        rows = search._CTX["rows"]
-        search._build_context(GAUSSIAN, bound)
+        rows = search._build_context(GAUSSIAN, bound)["rows"]
+        assert search._build_context(GAUSSIAN, bound)["rows"] is rows
         assert flagged == [bound]
-        assert search._CTX["rows"] is rows
         # the other ring reuses the ring-independent flags
-        search._build_context(EISENSTEIN, bound)
+        ctx = search._build_context(EISENSTEIN, bound)
         assert flagged == [bound]
-        assert search._CTX["ring"] is EISENSTEIN
-        assert search._CTX["flags"] is search._BUILT[GAUSSIAN]["flags"]
+        assert ctx["ring"] is EISENSTEIN and search._BUILT[EISENSTEIN] is ctx
+        assert ctx["flags"] is search._BUILT[GAUSSIAN]["flags"]
         assert sector_primes(GAUSSIAN, bound)[0] == g(1, 1)
         assert flagged == [bound]
         search._build_context(GAUSSIAN, bound + 1)
@@ -237,7 +235,7 @@ class TestSectorContext:
             for parity in ("odd", "even"):
                 sector_scan(ring, 3_000, parity=parity, jobs=1)
         assert spf == []
-        assert "spf" not in search._CTX
+        assert all("spf" not in ctx for ctx in search._BUILT.values())
 
     def test_factor_sweep_sieves_spf_once_per_bound(self, monkeypatch):
         monkeypatch.setattr(search, "_BUILT", {})
@@ -245,11 +243,11 @@ class TestSectorContext:
         bound = 1_234
         sector_scan(GAUSSIAN, bound, jobs=1)
         for ring in (GAUSSIAN, GAUSSIAN, EISENSTEIN):
-            swept = factor_sweep(ring, bound, search._oracle_check, jobs=1)
+            swept = factor_sweep(ring, bound, search._divisor_sum_mismatch, jobs=1)
             assert swept == (count_sector_classes(ring, bound), [])
         assert spf == [bound]
         assert search._BUILT[EISENSTEIN]["spf"] is search._BUILT[GAUSSIAN]["spf"]
-        factor_sweep(GAUSSIAN, bound + 1, search._oracle_check, jobs=1)
+        factor_sweep(GAUSSIAN, bound + 1, search._divisor_sum_mismatch, jobs=1)
         assert spf == [bound, bound + 1]
 
     def test_a_failed_build_is_not_kept(self, monkeypatch):
@@ -517,31 +515,56 @@ class TestNormPerfectPrimes:
                 assert find_normperfect_primes(ring, bound) == perfect, (ring, bound)
 
 
-def _flag_tenth_rational(x, fac, n):
+def _flag_tenth_rational(x, fac, n, sigma, spf):
     """Fails on the rational points a + 0*theta with 10 | a: 14 failures
-    spread over the chunks."""
+    in several subtrees of the walk."""
     return [x] if x.b == 0 and x.a % 10 == 0 else []
 
 
-def _flag_rational(x, fac, n):
+def _flag_rational(x, fac, n, sigma, spf):
     """Fails on every rational point, more often than the sweep keeps going."""
     return [x] if x.b == 0 else []
+
+
+def _sector_order(xs):
+    return sorted(xs, key=lambda x: (x.norm(), x.a, x.b))
 
 
 class TestFactorSweep:
     @pytest.mark.parametrize("ring", list(Ring))
     def test_serial_and_pooled_agree_in_sector_order(self, ring):
         bound = 20_000
-        assert len(search._chunks(ring, bound)) > 1
         classes = count_sector_classes(ring, bound)
         want = [QuadInt(ring, a, 0) for a in range(10, isqrt(bound) + 1, 10)]
         for jobs in (1, 2):
             assert factor_sweep(ring, bound, _flag_tenth_rational, jobs) == (classes, want)
             assert search.oracle_equivalence_sweep(ring, bound, jobs) == (classes, [])
-        # the sweep stops after the first point that brings it past 20
-        capped = factor_sweep(ring, bound, _flag_rational, 1)
-        assert capped[1] == [QuadInt(ring, a, 0) for a in range(1, 22)]
-        assert factor_sweep(ring, bound, _flag_rational, 2) == capped
+        # the sweep stops after the first chunk that brings it past 20, each
+        # chunk after the class that brings it past 20, and returns what it
+        # holds in (norm, a, b) order
+        checked, held = factor_sweep(ring, bound, _flag_rational, 1)
+        assert checked < classes
+        assert search._MAX_FAILURES < len(held) <= 2 * search._MAX_FAILURES + 1
+        assert held == _sector_order(held) and all(x.b == 0 for x in held)
+        assert factor_sweep(ring, bound, _flag_rational, 2) == (checked, held)
+
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_the_walk_hands_over_each_class_with_its_factorization(self, ring):
+        seen = []
+
+        def record(x, fac, n, sigma, spf):
+            seen.append((x, fac, n, sigma))
+            return []
+
+        bound = 3_000
+        assert factor_sweep(ring, bound, record, 1) == (count_sector_classes(ring, bound), [])
+        assert sorted((n, x.a, x.b) for x, _, n, _ in seen) == sorted(
+            (n, a, b) for a, b, n in iter_sector(ring, bound)
+        )
+        for x, fac, n, sigma in seen:
+            assert fac == factor(x), x
+            s = divisor_sum_from_factorization(fac)
+            assert sigma == (s.a, s.b), x
 
     def test_pooled_recomposition_sweep_reports_a_wrong_factorization(self, monkeypatch):
         bound = 20_000
@@ -549,15 +572,39 @@ class TestFactorSweep:
         assert _check_recomposition_sweep(2) == []
         bad = QuadInt(EISENSTEIN, 120, 7)
         assert bad.norm() <= bound and bad.in_sector()
-        real = search.factor
+        real = verify.factor
 
         def wrong_at_bad(x, **kwargs):
             fac = real(x, **kwargs)
             return Factorization(-fac.unit, fac.factors) if x == bad else fac
 
-        monkeypatch.setattr(search, "factor", wrong_at_bad)
+        monkeypatch.setattr(verify, "factor", wrong_at_bad)
         failures = _check_recomposition_sweep(2)
         assert [(f["check"], f["inputs"]) for f in failures] == [("recomposition", repr(bad))]
+
+    def test_recomposition_sweep_reports_swapped_split_exponents(self, monkeypatch):
+        # pi and its conjugate have one norm, so the norm product and the
+        # parity still hold: only the walk's own primes show the swap
+        bound = 2_000
+        monkeypatch.setitem(DEFAULTS, "recomposition_norm_bound", bound)
+        swapped_split_exponents(monkeypatch)
+        failures = _check_recomposition_sweep(1)
+        assert {f["check"] for f in failures} == {"recomposition"}
+        assert len(failures) > search._MAX_FAILURES
+        assert _check_recomposition_sweep(2) == failures
+
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_oracle_sweep_reports_a_conjugate_sigma_row(self, ring, monkeypatch):
+        bound = 2_000
+        conjugate_sigma(monkeypatch)
+        pi = next(p for p in sector_primes(ring, bound)[1:] if p.b)
+        sector_scan(ring, bound, jobs=1)  # every norm the scan checks still fits
+        checked, mismatches = search.oracle_equivalence_sweep(ring, bound, 1)
+        assert len(mismatches) > search._MAX_FAILURES
+        assert mismatches == _sector_order(mismatches)
+        # exactly the classes with pi**1 take the faulted row
+        assert all(dict(factor(x).factors).get(pi) == 1 for x in mismatches)
+        assert search.oracle_equivalence_sweep(ring, bound, 2) == (checked, mismatches)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

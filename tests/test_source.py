@@ -56,7 +56,14 @@ def test_ring_formulas_read_the_ring_only_through_its_attributes():
     # both rings are Z[theta] with theta^2 = -1 - t*theta, so each ring
     # formula is written once, in t: these function bodies read ring.t and
     # the other member attributes, and never test which ring they have
-    search_layers = {"strip_points", "count_lattice_points", "_prime_rows", "_finding", "_walk_chunk"}
+    search_layers = {
+        "strip_points",
+        "count_lattice_points",
+        "_prime_rows",
+        "_finding",
+        "_walk_chunk",
+        "_every_class",
+    }
     layers = {"rings.py": None, "factorization.py": None, "search.py": search_layers}
     banned = {"GAUSSIAN", "EISENSTEIN", "gaussian", "eisenstein"}
     found, seen = [], set()
