@@ -35,9 +35,8 @@ from .rings import QuadInt, Ring
 
 DEFAULT_SCAN_LIMIT = 200_000
 PRIME_SEARCH_LIMIT = 10**6
-# chunks a walk's subtrees are dealt into: a sweep's classes cost more, so it deals finer
+# chunks a walk's subtrees are dealt into
 _WALK_CHUNKS = 8
-_SWEEP_CHUNKS = 32
 # a factor sweep stops once it holds more failures than this
 _MAX_FAILURES = 20
 
@@ -260,10 +259,9 @@ def _walk_chunk(item) -> tuple[int, list[tuple]]:
 
 def _every_class(ctx: dict, starts: list[tuple[int, int]]):
     """Yield (n, x, fac, sigma) for every class of the starts, as _walk_chunk
-    visits them but skipping none: the norm, x in the sector, sigma(x) as an
-    integer pair and the walk's Factorization of x, whose unit is the power
-    of t + theta that turned the product into the sector and whose primes,
-    in table order, come from ctx["primes"], built once by factor_sweep."""
+    visits them but skipping none: the norm, x in the sector, the walk's
+    Factorization of x (unit the power of t + theta that turned the product
+    into the sector, primes from ctx["primes"]) and sigma(x) as a pair."""
     ring, bound, rows, norms = ctx["ring"], ctx["bound"], ctx["rows"], ctx["norms"]
     t, units, primes = ring.t, ring.units, ctx["primes"]
 
@@ -302,8 +300,7 @@ def _sweep_chunk(item) -> tuple[int, list[tuple]]:
     pairs), stopping once more than _MAX_FAILURES are held."""
     ctx, starts, check = item
     checked, failures = 0, []
-    for n, x, fac, sigma in _every_class(ctx, starts):
-        checked += 1
+    for checked, (n, x, fac, sigma) in enumerate(_every_class(ctx, starts), 1):
         failures += [((n, x.a, x.b), f) for f in check(x, fac, n, sigma, ctx["spf"])]
         if len(failures) > _MAX_FAILURES:
             break
@@ -315,9 +312,9 @@ def _divisor_sum_mismatch(x: QuadInt, fac: Factorization, n: int, sigma, spf) ->
     return [] if (s.a, s.b) == sigma else [x]
 
 
-def _deal(walker, ctx: dict, jobs, chunks: int, parity: str, prune: bool, *args):
+def _deal(walker, ctx: dict, jobs, parity: str, prune: bool, *args):
     """Deal the walk's starts (v, i) for the classes of this parity round-robin
-    into that many items (ctx, starts, *args) and return (pruned, results).
+    into _WALK_CHUNKS items (ctx, starts, *args); return (pruned, results).
     prune skips the even classes of a minimal-prime exponent no norm-perfect
     class has, counted as pruned.  results yields (classes so far, pruned
     included, walker's second result) per item in input order, then raises
@@ -336,7 +333,7 @@ def _deal(walker, ctx: dict, jobs, chunks: int, parity: str, prune: bool, *args)
             pruned += count_sector_classes(ring, limit) - count_sector_classes(ring, limit // char)
             continue
         starts += [(v, i) for i in range(bisect_right(norms, limit, 1, len(norms) - 1))]
-    work = [(ctx, starts[k::chunks], *args) for k in range(min(chunks, len(starts)))]
+    work = [(ctx, starts[k::_WALK_CHUNKS], *args) for k in range(min(_WALK_CHUNKS, len(starts)))]
 
     def results():
         scanned = pruned
@@ -361,17 +358,20 @@ def factor_sweep(ring: Ring, bound: int, check, jobs: int | None = None) -> tupl
     """Run check(x, fac, n, sigma, spf) on every class of norm <= bound as
     the walk builds it (_every_class), spf the smallest-prime-factor sieve
     to bound.  Returns (checked, failures), sorted by their class's (norm,
-    a, b), stopping after the first chunk, in input order, that brings them
-    past _MAX_FAILURES; else every class must have been visited."""
+    a, b).  Taken in input order, the failures stop after the class that
+    brings them past _MAX_FAILURES; else every class must have been visited."""
     ctx = _build_context(ring, bound)
     if "spf" not in ctx:
         ctx["spf"] = _shared(bound, "spf", smallest_prime_factor_sieve)
         ctx["primes"] = sector_primes(ring, bound)
-    _, results = _deal(_sweep_chunk, ctx, jobs, _SWEEP_CHUNKS, "all", False, check)
+    _, results = _deal(_sweep_chunk, ctx, jobs, "all", False, check)
     checked, failures = 0, []
     for checked, found in results:
         failures += found
         if len(failures) > _MAX_FAILURES:
+            # its own count <= the total, so this chunk holds the whole class past the cap
+            last = failures[_MAX_FAILURES][0]
+            failures[_MAX_FAILURES:] = [f for f in failures[_MAX_FAILURES:] if f[0] == last]
             break
     failures.sort(key=lambda failure: failure[0])  # stable within a class
     return checked, [f for _, f in failures]
@@ -480,7 +480,7 @@ def sector_scan(
         raise ValueError(f"norm bound {norm_bound} exceeds the limit {DEFAULT_SCAN_LIMIT}")
     t0 = time.monotonic()
     ctx = _build_context(ring, norm_bound)
-    pruned, results = _deal(_walk_chunk, ctx, jobs, _WALK_CHUNKS, parity, prune)
+    pruned, results = _deal(_walk_chunk, ctx, jobs, parity, prune)
     scanned, findings = pruned, []
     for scanned, found in results:
         findings.extend(found)

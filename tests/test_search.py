@@ -539,14 +539,16 @@ class TestFactorSweep:
         for jobs in (1, 2):
             assert factor_sweep(ring, bound, _flag_tenth_rational, jobs) == (classes, want)
             assert search.oracle_equivalence_sweep(ring, bound, jobs) == (classes, [])
-        # the sweep stops after the first chunk that brings it past 20, each
-        # chunk after the class that brings it past 20, and returns what it
-        # holds in (norm, a, b) order
+        # taken in input order, the failures stop after the class that brings
+        # them past 20, and come back in (norm, a, b) order
         checked, held = factor_sweep(ring, bound, _flag_rational, 1)
         assert checked < classes
-        assert search._MAX_FAILURES < len(held) <= 2 * search._MAX_FAILURES + 1
+        assert len(held) == search._MAX_FAILURES + 1
         assert held == _sector_order(held) and all(x.b == 0 for x in held)
         assert factor_sweep(ring, bound, _flag_rational, 2) == (checked, held)
+        # the class that passes the cap keeps all of its failures
+        twice = factor_sweep(ring, bound, lambda x, *rest: 2 * _flag_rational(x, *rest), 2)[1]
+        assert twice[::2] == twice[1::2] and len(twice) == search._MAX_FAILURES + 2
 
     @pytest.mark.parametrize("ring", list(Ring))
     def test_the_walk_hands_over_each_class_with_its_factorization(self, ring):
