@@ -167,18 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, parity in (("search-even", "even"), ("search-odd", "odd")):
         p = sub.add_parser(name, help=f"sector scan over {parity} classes")
-        p.set_defaults(func=_cmd_search, parity=parity, prune=False)
+        p.set_defaults(func=_cmd_search, parity=parity)
         p.add_argument("--ring", type=_ring, required=True)
         p.add_argument("--max-norm", type=int, required=True)
         p.add_argument("--jobs", type=_jobs, default=None)
         p.add_argument("--progress", action="store_true")
         p.add_argument("--csv", action="store_true")
-        if parity == "even":
-            p.add_argument(
-                "--prune",
-                action="store_true",
-                help="skip exponents the mod-12 lemmas exclude from norm-perfection",
-            )
 
     p = sub.add_parser("find-normperfect-primes", help="norm-perfect prime sweep")
     p.set_defaults(func=_cmd_find_primes)
@@ -288,7 +282,6 @@ def _cmd_search(args) -> int:
         args.max_norm,
         parity=args.parity,
         jobs=args.jobs,
-        prune=args.prune,
         progress_cb=_progress_printer(args.progress),
     )
     if args.csv:

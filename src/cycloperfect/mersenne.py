@@ -24,12 +24,6 @@ from .parallel import run_chunks
 from .rational import divisor_in_classes, is_rational_prime
 from .rings import QuadInt, Ring
 
-# Residues k mod 12 that an even norm-perfect exponent can have.
-NORM_PERFECT_K_RESIDUES = {
-    Ring.GAUSSIAN: frozenset({0, 1, 11}),
-    Ring.EISENSTEIN: frozenset({0, 1, 2, 10, 11}),
-}
-
 # Residue modulus used to report k in records: the construction variants
 # are governed by k mod 8 (Gaussian) and k mod 12 (Eisenstein), twice the
 # unit count, as minimal_prime**2 = residue_char * (t + theta).

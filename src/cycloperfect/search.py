@@ -28,7 +28,6 @@ from .divisors import (
     json_rows,
 )
 from .factorization import Factorization, factor
-from .mersenne import NORM_PERFECT_K_RESIDUES
 from .parallel import run_chunks
 from .rational import is_rational_prime, prime_flags, smallest_prime_factor_sieve
 from .rings import QuadInt, Ring
@@ -312,43 +311,34 @@ def _divisor_sum_mismatch(x: QuadInt, fac: Factorization, n: int, sigma, spf) ->
     return [] if (s.a, s.b) == sigma else [x]
 
 
-def _deal(walker, ctx: dict, jobs, parity: str, prune: bool, *args):
+def _deal(walker, ctx: dict, jobs, parity: str, *args):
     """Deal the walk's starts (v, i) for the classes of this parity round-robin
-    into _WALK_CHUNKS items (ctx, starts, *args); return (pruned, results).
-    prune skips the even classes of a minimal-prime exponent no norm-perfect
-    class has, counted as pruned.  results yields (classes so far, pruned
-    included, walker's second result) per item in input order, then raises
+    into _WALK_CHUNKS items (ctx, starts, *args) and yield (classes so far,
+    walker's second result) per item in input order, then raise
     ScanInvariantError unless every class of the parity was counted."""
     ring, bound, norms = ctx["ring"], ctx["bound"], ctx["norms"]
     char = ring.residue_char
     # v = 0 roots the odd classes, each v >= 1 the even classes of
     # minimal-prime exponent v, which have odd parts of norm <= limit
-    starts, pruned = [], 0
+    starts = []
     v_stop = 1 if parity == "odd" else bound.bit_length()
     for v in range(1 if parity == "even" else 0, v_stop):
         limit = bound // char**v
         if not limit:
             break
-        if prune and v and (v + 1) % 12 not in NORM_PERFECT_K_RESIDUES[ring]:
-            pruned += count_sector_classes(ring, limit) - count_sector_classes(ring, limit // char)
-            continue
         starts += [(v, i) for i in range(bisect_right(norms, limit, 1, len(norms) - 1))]
     work = [(ctx, starts[k::_WALK_CHUNKS], *args) for k in range(min(_WALK_CHUNKS, len(starts)))]
-
-    def results():
-        scanned = pruned
-        for visited, found in run_chunks(walker, work, jobs):
-            scanned += visited
-            yield scanned, found
-        # completeness: C(B) classes in all, C(B // char) of them even
-        every, even = count_sector_classes(ring, bound), count_sector_classes(ring, bound // char)
-        want = {"all": every, "odd": every - even, "even": even}[parity]
-        if scanned != want:
-            raise ScanInvariantError(
-                f"scanned {scanned} of the {want} {parity} classes of norm <= {bound}"
-            )
-
-    return pruned, results()
+    scanned = 0
+    for visited, found in run_chunks(walker, work, jobs):
+        scanned += visited
+        yield scanned, found
+    # completeness: C(B) classes in all, C(B // char) of them even
+    every, even = count_sector_classes(ring, bound), count_sector_classes(ring, bound // char)
+    want = {"all": every, "odd": every - even, "even": even}[parity]
+    if scanned != want:
+        raise ScanInvariantError(
+            f"scanned {scanned} of the {want} {parity} classes of norm <= {bound}"
+        )
 
 
 # -- public sweeps ---------------------------------------------------------------
@@ -364,9 +354,8 @@ def factor_sweep(ring: Ring, bound: int, check, jobs: int | None = None) -> tupl
     if "spf" not in ctx:
         ctx["spf"] = _shared(bound, "spf", smallest_prime_factor_sieve)
         ctx["primes"] = sector_primes(ring, bound)
-    _, results = _deal(_sweep_chunk, ctx, jobs, "all", False, check)
     checked, failures = 0, []
-    for checked, found in results:
+    for checked, found in _deal(_sweep_chunk, ctx, jobs, "all", check):
         failures += found
         if len(failures) > _MAX_FAILURES:
             # its own count <= the total, so this chunk holds the whole class past the cap
@@ -394,7 +383,6 @@ class SearchReport:
     norm_bound: int
     parity: str
     scanned: int
-    pruned: int
     rows: tuple[tuple, ...]  # the findings as sorted Classification.row tuples
     wall_time: float
 
@@ -411,7 +399,6 @@ class SearchReport:
             "norm_bound": self.norm_bound,
             "parity": self.parity,
             "scanned": self.scanned,
-            "pruned": self.pruned,
             "wall_time": self.wall_time,
             **extra,
         }
@@ -462,16 +449,10 @@ def sector_scan(
     norm_bound: int,
     parity: str = "all",
     jobs: int | None = None,
-    prune: bool = False,
     progress_cb=None,
 ) -> SearchReport:
     """Classify one representative per associate class up to the norm bound.
-
-    Findings list every non-deficient class.  With prune=True, even classes
-    whose minimal-prime exponent cannot belong to a norm-perfect integer
-    (k mod 12 outside the admissible residues) are skipped; the finding
-    list then remains complete for norm-perfect entries only.
-    """
+    Findings list every non-deficient class."""
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"unknown parity filter {parity!r}")
     if norm_bound < 0:
@@ -480,9 +461,8 @@ def sector_scan(
         raise ValueError(f"norm bound {norm_bound} exceeds the limit {DEFAULT_SCAN_LIMIT}")
     t0 = time.monotonic()
     ctx = _build_context(ring, norm_bound)
-    pruned, results = _deal(_walk_chunk, ctx, jobs, parity, prune)
-    scanned, findings = pruned, []
-    for scanned, found in results:
+    scanned, findings = 0, []
+    for scanned, found in _deal(_walk_chunk, ctx, jobs, parity):
         findings.extend(found)
         if progress_cb is not None:
             progress_cb(scanned)
@@ -492,7 +472,6 @@ def sector_scan(
         norm_bound=norm_bound,
         parity=parity,
         scanned=scanned,
-        pruned=pruned,
         rows=tuple(findings),
         wall_time=time.monotonic() - t0,
     )

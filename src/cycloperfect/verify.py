@@ -80,7 +80,6 @@ DEFAULTS = {
     "even_scan_bound": 200_000,
     "odd_gaussian_scan_bound": 200_000,
     "prime_search_bound": 1_000_000,
-    "prune_loss_bound": 100_000,
     "enumeration_bound": 10_000,
     "synthetic_conforming_samples": 1_000,
     "synthetic_norm_bound": 10_000_000_000,
@@ -554,14 +553,23 @@ def _norm_perfect_findings(report) -> list[Classification]:
     ]
 
 
+# the even norm-perfect classes of norm <= DEFAULTS["even_scan_bound"]: in
+# Z[i] the k = 7 construction, in Z[w] none
+_EVEN_NORM_PERFECT = {
+    Ring.GAUSSIAN: (QuadInt(Ring.GAUSSIAN, 56, 64),),
+    Ring.EISENSTEIN: (),
+}
+
+
 def _check_even_scan(jobs) -> list[dict]:
-    report = sector_scan(
-        Ring.EISENSTEIN, DEFAULTS["even_scan_bound"], parity="even", jobs=jobs
-    )
-    bad = _norm_perfect_findings(report)
-    if bad:
-        return [_fail("even_norm_perfect_scan", DEFAULTS["even_scan_bound"], [], bad)]
-    return []
+    failures = []
+    bound = DEFAULTS["even_scan_bound"]
+    for ring, want in _EVEN_NORM_PERFECT.items():
+        report = sector_scan(ring, bound, parity="even", jobs=jobs)
+        got = tuple(f.element for f in _norm_perfect_findings(report))
+        if got != want:
+            failures.append(_fail("even_norm_perfect_scan", (ring.value, bound), want, got))
+    return failures
 
 
 def _check_prime_sweeps(jobs) -> list[dict]:
@@ -577,19 +585,6 @@ def _check_prime_sweeps(jobs) -> list[dict]:
         if not validate_ward_form(psi):
             failures.append(_fail("ward_form", psi, True, False))
     return failures
-
-
-def _check_prune_no_loss(jobs) -> list[dict]:
-    bound = DEFAULTS["prune_loss_bound"]
-    plain = sector_scan(Ring.EISENSTEIN, bound, parity="even", jobs=jobs, prune=False)
-    pruned = sector_scan(Ring.EISENSTEIN, bound, parity="even", jobs=jobs, prune=True)
-
-    def norm_perfect_set(report):
-        return {str(f.element) for f in _norm_perfect_findings(report)}
-
-    if norm_perfect_set(plain) != norm_perfect_set(pruned):
-        return [_fail("prune_no_loss", bound, norm_perfect_set(plain), norm_perfect_set(pruned))]
-    return []
 
 
 def _check_enumeration_completeness(jobs) -> list[dict]:
@@ -870,7 +865,6 @@ _SUITES: dict[str, list[tuple[str, callable]]] = {
         ("prime_equation_solutions", _check_equation),
         ("even_norm_perfect_scan", _check_even_scan),
         ("normperfect_prime_sweeps", _check_prime_sweeps),
-        ("prune_no_loss", _check_prune_no_loss),
         ("enumeration_completeness", _check_enumeration_completeness),
         ("rational_perfect_remark", _check_remark),
         ("corollary_residue_class", _check_corollary_residue),

@@ -158,6 +158,16 @@ class TestSearchCommands:
         assert exc.value.code == EXIT_PARSE_ERROR
         assert "unrecognized arguments: --json" in capsys.readouterr().err
 
+    def test_prune_is_not_an_option(self, capsys):
+        # every even scan lists all its norm-perfect classes; nothing skips any
+        with pytest.raises(SystemExit) as exc:
+            main(["search-even", "--prune", "--ring", "gaussian", "--max-norm", "100"])
+        assert exc.value.code == EXIT_PARSE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("cycloperfect: error: unrecognized arguments: --prune\n")
+        assert "Traceback" not in err
+
     def test_search_odd_gaussian(self, capsys):
         obj = run_json(
             capsys, "search-odd", "--ring", "gaussian", "--max-norm", "30", "--jobs", "1"

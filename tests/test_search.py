@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -22,7 +23,7 @@ from cycloperfect.divisors import (
     perfect_associate_unit,
 )
 from cycloperfect.factorization import Factorization, factor, is_ring_prime
-from cycloperfect.mersenne import NORM_PERFECT_K_RESIDUES, candidate_factorization
+from cycloperfect.mersenne import candidate_factorization
 from cycloperfect.mersenne import scan as mersenne_scan
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
 from cycloperfect.search import (
@@ -152,17 +153,22 @@ class TestSectorScan:
         assert serial.scanned == parallel.scanned
         assert serial.findings == parallel.findings
 
-    def test_prune_no_norm_perfect_loss(self):
-        plain = sector_scan(EISENSTEIN, 20_000, parity="even", jobs=2, prune=False)
-        pruned = sector_scan(EISENSTEIN, 20_000, parity="even", jobs=2, prune=True)
-        assert pruned.pruned > 0
-
-        def norm_perfect(report):
-            return [
-                f.element for f in report.findings if f.status is Status.NORM_PERFECT
-            ]
-
-        assert norm_perfect(plain) == norm_perfect(pruned)
+    @pytest.mark.parametrize("bound", [20_000, 200_000])
+    def test_norm_perfect_rows_of_each_parity(self, bound):
+        # the norm-perfect classes up to 2*10^4 are those up to 2*10^5, even
+        # ones included; each row classifies back as norm-perfect
+        want = {
+            (GAUSSIAN, "odd"): [g(2, 1), g(21, 22)],
+            (GAUSSIAN, "even"): [g(56, 64)],
+            (EISENSTEIN, "odd"): [e(11, 6), e(29, 17)],
+            (EISENSTEIN, "even"): [],
+        }
+        for (ring, parity), elements in want.items():
+            report = sector_scan(ring, bound, parity=parity, jobs=1)
+            rows = [f.element for f in report.findings if f.status is Status.NORM_PERFECT]
+            assert rows == elements, (ring, parity)
+            for x in rows:
+                assert classify(x, factorization=factor(x)).status is Status.NORM_PERFECT
 
     def test_report_serialization(self):
         report = sector_scan(GAUSSIAN, 100, jobs=1)
@@ -186,7 +192,6 @@ class TestSectorScan:
             norm_bound=x.norm(),
             parity="all",
             scanned=1,
-            pruned=0,
             rows=(cls.row(),),
             wall_time=0.0,
         )
@@ -278,21 +283,13 @@ class TestWalk:
         # classify builds from peeling's factorization, and it scans every
         # class of its parity that iter_sector yields
         bound = 20_000
-        allowed = NORM_PERFECT_K_RESIDUES[ring]
         classes = _peeled_classes(ring, bound)
         for parity in ("all", "odd", "even"):
-            kept = [(v, cls) for v, cls in classes if parity == "all" or (v > 0) == (parity == "even")]
-            for prune in (False, True):
-                skipped = [prune and v > 0 and (v + 1) % 12 not in allowed for v, _ in kept]
-                want = [
-                    cls
-                    for (_, cls), skip in zip(kept, skipped)
-                    if not skip and cls.status is not Status.DEFICIENT
-                ]
-                report = sector_scan(ring, bound, parity=parity, jobs=1, prune=prune)
-                assert report.scanned == len(kept), (parity, prune)
-                assert report.pruned == sum(skipped), (parity, prune)
-                assert report.findings == tuple(sorted(want)), (parity, prune)
+            kept = [cls for v, cls in classes if parity == "all" or (v > 0) == (parity == "even")]
+            want = [cls for cls in kept if cls.status is not Status.DEFICIENT]
+            report = sector_scan(ring, bound, parity=parity, jobs=1)
+            assert report.scanned == len(kept), parity
+            assert report.findings == tuple(sorted(want)), parity
 
     @pytest.mark.parametrize("ring", list(Ring))
     def test_row_layout_round_trips(self, ring):
@@ -357,21 +354,14 @@ class TestWalk:
 _CSV_HEADER = ["element", "norm", "status", "even", "perfect", "sigma_norm", "perfect_unit"]
 
 
-def _reference_scan(classes, parity, prune):
-    """(scanned, pruned, findings JSON, CSV rows) from factor + classify per
-    class."""
-    scanned = pruned = 0
+def _reference_scan(classes, parity):
+    """(scanned, findings JSON, CSV rows) from factor + classify per class."""
+    scanned = 0
     rows = []
-    for x, fac, cls in classes:
-        ring = x.ring
+    for x, cls in classes:
         if (parity == "odd" and cls.even) or (parity == "even" and not cls.even):
             continue
         scanned += 1
-        if prune and cls.even:
-            v = dict(fac.factors)[ring.minimal_prime]
-            if (v + 1) % 12 not in NORM_PERFECT_K_RESIDUES[ring]:
-                pruned += 1
-                continue
         if cls.status is Status.DEFICIENT:
             continue
         unit = None
@@ -389,7 +379,7 @@ def _reference_scan(classes, parity, prune):
         ]
         rows.append(((cls.norm, x.a, x.b), finding, csv_row))
     rows.sort(key=lambda row: row[0])
-    return scanned, pruned, [row[1] for row in rows], [row[2] for row in rows]
+    return scanned, [row[1] for row in rows], [row[2] for row in rows]
 
 
 def _table_text(table):
@@ -405,47 +395,44 @@ def test_scan_matches_peel_reference(ring, capsys):
     classes = []
     for a, b, _n in iter_sector(ring, bound):
         x = QuadInt(ring, a, b)
-        fac = peel_factor(x)
-        classes.append((x, fac, classify(x, factorization=fac)))
+        classes.append((x, classify(x, factorization=peel_factor(x))))
     for parity in ("all", "odd", "even"):
-        for prune in (False, True):
-            scanned, pruned, findings, csv_rows = _reference_scan(classes, parity, prune)
-            want = {
-                "ring": ring.value,
-                "norm_bound": bound,
-                "parity": parity,
-                "scanned": scanned,
-                "pruned": pruned,
-                "findings": findings,
+        scanned, findings, csv_rows = _reference_scan(classes, parity)
+        want = {
+            "ring": ring.value,
+            "norm_bound": bound,
+            "parity": parity,
+            "scanned": scanned,
+            "findings": findings,
+        }
+        for jobs in (1, 2):
+            mode = (parity, jobs)
+            report = sector_scan(ring, bound, parity=parity, jobs=jobs)
+            got = report.to_json()
+            assert got == {**want, "wall_time": report.wall_time}, mode
+            if parity == "all":
+                continue  # no CLI command scans these
+            argv = [f"search-{parity}", "--ring", ring.value, "--max-norm", str(bound)]
+            argv += ["--jobs", str(jobs)]
+            # the report text is json.dumps of the reference, wall_time
+            # taken from the output
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            doc = {
+                **want,
+                "wall_time": json.loads(out)["wall_time"],
+                "config": cli._config_header(),
             }
-            for jobs in (1, 2):
-                mode = (parity, prune, jobs)
-                report = sector_scan(ring, bound, parity=parity, jobs=jobs, prune=prune)
-                got = report.to_json()
-                assert got == {**want, "wall_time": report.wall_time}, mode
-                if parity == "all" or (parity == "odd" and prune):
-                    continue  # no CLI command scans these
-                argv = [f"search-{parity}", "--ring", ring.value, "--max-norm", str(bound)]
-                argv += ["--jobs", str(jobs)] + (["--prune"] if prune else [])
-                # the report text is json.dumps of the reference, wall_time
-                # taken from the output
-                assert cli.main(argv) == 0
-                out = capsys.readouterr().out
-                doc = {
-                    **want,
-                    "wall_time": json.loads(out)["wall_time"],
-                    "config": cli._config_header(),
-                }
-                assert out == json.dumps(doc, sort_keys=True) + "\n", mode
-                assert cli.main(["--pretty", *argv]) == 0
-                out = capsys.readouterr().out
-                doc["wall_time"] = json.JSONDecoder().raw_decode(out)[0]["wall_time"]
-                table = _table_text([_CSV_HEADER, *csv_rows]) if csv_rows else ""
-                assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n" + table, mode
-                assert cli.main([*argv, "--csv"]) == 0
-                text = io.StringIO()
-                csv.writer(text).writerows([_CSV_HEADER, *csv_rows])
-                assert capsys.readouterr().out == text.getvalue(), mode
+            assert out == json.dumps(doc, sort_keys=True) + "\n", mode
+            assert cli.main(["--pretty", *argv]) == 0
+            out = capsys.readouterr().out
+            doc["wall_time"] = json.JSONDecoder().raw_decode(out)[0]["wall_time"]
+            table = _table_text([_CSV_HEADER, *csv_rows]) if csv_rows else ""
+            assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n" + table, mode
+            assert cli.main([*argv, "--csv"]) == 0
+            text = io.StringIO()
+            csv.writer(text).writerows([_CSV_HEADER, *csv_rows])
+            assert capsys.readouterr().out == text.getvalue(), mode
 
 
 _WALK_CHUNK = search._walk_chunk
@@ -609,6 +596,28 @@ class TestFactorSweep:
         assert search.oracle_equivalence_sweep(ring, bound, 2) == (checked, mismatches)
 
 
+def test_even_scan_check_fails_without_56_64i(monkeypatch):
+    # 56+64i is the one even norm-perfect class up to the check's bound: a
+    # table that leaves it out fails the check, and so does a scan that
+    # loses its row
+    monkeypatch.setitem(DEFAULTS, "even_scan_bound", 20_000)
+    assert verify._check_even_scan(1) == []
+    with monkeypatch.context() as m:
+        m.setitem(verify._EVEN_NORM_PERFECT, GAUSSIAN, ())
+        (failure,) = verify._check_even_scan(1)
+        assert (failure["expected"], failure["got"]) == ("()", repr((g(56, 64),)))
+    real = verify.sector_scan
+
+    def losing(ring, bound, **kwargs):
+        report = real(ring, bound, **kwargs)
+        return dataclasses.replace(report, rows=tuple(r for r in report.rows if r[1:3] != (56, 64)))
+
+    monkeypatch.setattr(verify, "sector_scan", losing)
+    (failure,) = verify._check_even_scan(1)
+    assert failure["inputs"] == repr(("gaussian", 20_000))
+    assert (failure["expected"], failure["got"]) == (repr((g(56, 64),)), "()")
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_raise(jobs):
     # the pool runner refuses what the CLI's --jobs refuses
@@ -767,39 +776,32 @@ class TestRationalPerfectRemark:
 # sha256 of each scan's output: the JSON with its wall_time item cut out,
 # and the --csv text.  Those at norm 2*10^4 were recorded before the walk
 # replaced per-class factoring, those at 5*10^4 (the benchmark's odd scans)
-# before the findings became integer rows.  Any change to a scan's output
-# fails here.
+# before the findings became integer rows; the JSON ones were re-derived
+# from those outputs with only the item of a key the report dropped cut out
+# (BENCH_26.json).  Any change to a scan's output fails here.
 _GOLDEN_SCAN_DIGESTS = {
     ("gaussian", "search-odd", 20_000): (
-        "2e985ebea1708687831a267ce2af20d799a18ba5003fede282d2aaf0e3631c9e",
+        "94eecf7c2216ff2be0be7832fdd3aa5502adf2445ff3a1805cfe72f7c3f276dd",
         "f6c3e743fd27ea6dc86664f981285d2a2af36b9a0456a425bd601395aaef062a",
     ),
     ("gaussian", "search-even", 20_000): (
-        "c5b394b76f6ffebef6f00815584a61794ceaee26ab52325cb743efd217740c54",
+        "a7d985dacc93e780927affbf6f83eec2b342a767b101706192a322bcf1e6f2b6",
         "0f1bddae963805ac6df4c77de32c776ce16585360958e2277fb1f232a1fcb8f3",
     ),
-    ("gaussian", "search-even --prune", 20_000): (
-        "4814ff2a9c5bc3a4f1d0e7cc50d40cea064e8773cff9d1114f2b8e9d5f77dcd5",
-        "0a631eb0922362c8eb652bd9064305cb6b42b6f089a96bd724c03a3b0331cfc5",
-    ),
     ("eisenstein", "search-odd", 20_000): (
-        "cf875039c4d244d6a749ee2346b210c1e33a956103c11f4ae2dcd2e119337a2d",
+        "8301704e44afd2764ba6a5ffdf5409be3da0b20b84a5c4870bcce34b104255df",
         "f3aa74993ee1c310f2310c90fd18110cfac95c8a5a56aaa836c4f504ab0e659e",
     ),
     ("eisenstein", "search-even", 20_000): (
-        "d7c4ce5b154ef0c288b0b8ad34a1671cdc59232ad349ca9d49559cdf63da8c73",
+        "9a79e03e03508ff81e37d9c8182980802be62ccb4c93ce5fbd1d342425a831a0",
         "35d1b113eebb20878c54e0e94a078f8cbfe60e609135e07ac78bc479161f58bd",
     ),
-    ("eisenstein", "search-even --prune", 20_000): (
-        "ef83ecefb11b7feafe9f392afea1eb90ead792da219375158d19453c2d2537f8",
-        "41d8103e1d568384151f7f7565ae9e1f617ab71ffffcfef066840279d40f3ed0",
-    ),
     ("gaussian", "search-odd", 50_000): (
-        "797a09f2e7b219814ff9bcfe11e870227ef96cdaf562a2933c51f327de7750b7",
+        "805dd690afcc1837ae4d90235a6f61a68ed5de76a5d5a8796569c29fe2ecce93",
         "d9abbe52d8f9f23d536c08e0c42479cde6ead873727bc81a28e1a0f2843131b8",
     ),
     ("eisenstein", "search-odd", 50_000): (
-        "50ea0df73154ad8d3b5a660503e0818c43c588cb12bf594f6a8c50d94302ff8f",
+        "e11223ba3a150d0cde85d71ad20a37579232f1cfcdeab956992d90c86e76dc04",
         "cbc001fca08e0a31be0c63eeb7ea57ca2b3a2af9ecf8d72fef995eb440e53d62",
     ),
 }
