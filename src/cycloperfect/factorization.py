@@ -4,7 +4,8 @@ Every nonzero element splits as unit * prod(pi**e) where each pi is the
 sector representative of its associate class.  factor reads the exponents
 off the norm's rational factorization, one rule per splitting type (for
 split primes _split_exponents), and proves them by one exact division to a
-unit.
+unit.  A split q's prime is Cornacchia's reduction (_split_prime) on a root
+of theta's minimal polynomial mod q, x's own if factor_rational proved q.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from math import isqrt
 
 from .rational import factor_rational, is_rational_prime
 from .rings import QuadInt, Ring
-from .rings import gcd as ring_gcd
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,37 @@ def is_ring_prime(x: QuadInt) -> bool:
 
 
 def _theta_root(q: int, ring: Ring) -> int:
-    """c with N(c - theta) = c^2 + t*c + 1 = 0 (mod the split prime q):
-    d^((q-1)/m), m = 4 - t the order of theta, for the first d that gives
-    one."""
-    m = 4 - ring.t
+    """c with c^2 + t*c + 1 = 0 (mod the split prime q): d^((q-1)/m), m = 4 - t
+    the order of theta, for the first d that gives one."""
     for d in range(2, q):
-        c = pow(d, (q - 1) // m, q)
-        if QuadInt(ring, c, -1).norm() % q == 0:
+        c = pow(d, (q - 1) // (4 - ring.t), q)
+        if (c * c + ring.t * c + 1) % q == 0:
             return c
     raise ArithmeticError(f"no root of theta's minimal polynomial mod {q}")
+
+
+def _split_prime(q: int, ring: Ring, c: int) -> QuadInt:
+    """The sector prime of norm q with the least b, from either root c of
+    c^2 + t*c + 1 mod q; the caller proves q prime, this checks the norm.
+
+    a + b*theta has norm q when X = 2a - t*b, Y = b solve X^2 + d*Y^2 = 4q,
+    d = 4 - t^2.  As X^2 + d*Y^2 is a positive multiple of 4q for every
+    nonzero X = Y*(2c + t) (mod 2q), the solutions are the shortest vectors
+    of that lattice, found by Euclid on (2q, 2c + t) (Cornacchia 1908; Cohen,
+    GTM 138, 1.5.3): the first remainder at most 2*sqrt(q) is the largest
+    X, whose Y = b is the least (a > b resp. a > 2b).
+    """
+    t = ring.t
+    if (c * c + t * c + 1) % q:
+        raise ArithmeticError(f"{c} is not a root of theta's minimal polynomial mod {q}")
+    r0, r1, bound = 2 * q, 2 * (c % q) + t, isqrt(4 * q)
+    while r1 > bound:
+        r0, r1 = r1, r0 % r1
+    y2, rest = divmod(4 * q - r1 * r1, 4 - t * t)
+    y = isqrt(y2)
+    if rest or y * y != y2:
+        raise ArithmeticError(f"failed to find a prime above {q} in {ring}")
+    return QuadInt(ring, (r1 + t * y) // 2, y)
 
 
 @lru_cache(maxsize=None)
@@ -80,9 +102,8 @@ def prime_above(q: int, ring: Ring) -> QuadInt:
     """A sector-canonical prime dividing the rational prime q.
 
     Ramified q gives the minimal prime, inert q gives q itself, and split q
-    gives whichever of pi = gcd(q, c - theta), c a root of theta's minimal
-    polynomial mod q, and its conjugate has the least b (Cornacchia; Cohen,
-    GTM 138, 1.5).  A q that is not a rational prime raises ValueError.
+    gives the sector prime with the least b: _split_prime from the root
+    _theta_root finds.  A q that is not a rational prime raises ValueError.
     """
     if not is_rational_prime(q):
         raise ValueError(f"{q} is not a rational prime")
@@ -90,10 +111,7 @@ def prime_above(q: int, ring: Ring) -> QuadInt:
         return ring.minimal_prime
     if ring.is_inert(q):
         return QuadInt(ring, q, 0)
-    pi = ring_gcd(QuadInt(ring, q, 0), QuadInt(ring, _theta_root(q, ring), -1))
-    if pi.norm() != q:
-        raise ArithmeticError(f"failed to find a prime above {q} in {ring}")
-    return min(pi, _conjugate_prime(pi), key=lambda x: x.b)
+    return _split_prime(q, ring, _theta_root(q, ring))
 
 
 def _conjugate_prime(pi: QuadInt) -> QuadInt:
@@ -127,7 +145,9 @@ def factor(x: QuadInt, *, norm_factors: list[tuple[int, int]] | None = None) -> 
     """Factor a nonzero element into a unit and sector-canonical primes.
 
     norm_factors may carry a precomputed rational factorization of norm(x)
-    (e.g. from a sieve during bulk sweeps); it changes only the cost.
+    (e.g. from a sieve during bulk sweeps); prime_above proves its primes,
+    so it changes only the cost.  Without it, a split q not dividing b takes
+    its prime from x's root -a/b (mod q).
     For q of exponent e in the norm, the ramified prime takes e, an inert q
     e/2, and a split q's two primes share e by _split_exponents.  The
     product of the prime powers must divide x to a unit, or ArithmeticError
@@ -136,8 +156,9 @@ def factor(x: QuadInt, *, norm_factors: list[tuple[int, int]] | None = None) -> 
     if not x:
         raise ZeroDivisionError("cannot factor zero")
     ring = x.ring
-    if norm_factors is None:
-        norm_factors = list(factor_rational(x.norm()).factors)
+    proven = norm_factors is None
+    if proven:
+        norm_factors = factor_rational(x.norm()).factors
     out: list[tuple[QuadInt, int]] = []
     for q, e in norm_factors:
         if ring.is_ramified(q):
@@ -148,7 +169,10 @@ def factor(x: QuadInt, *, norm_factors: list[tuple[int, int]] | None = None) -> 
                 raise ArithmeticError(f"inert {q} has the odd exponent {e} in N({x})")
             out.append((QuadInt(ring, q, 0), e // 2))
         else:
-            pi = prime_above(q, ring)
+            if proven and x.b % q:
+                pi = _split_prime(q, ring, -x.a * pow(x.b, -1, q) % q)
+            else:
+                pi = prime_above(q, ring)
             t = -pi.a * pow(pi.b, -1, q) % q
             j, j_bar = _split_exponents(x.a, x.b, q, e, t)
             if j:

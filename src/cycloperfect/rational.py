@@ -14,9 +14,10 @@ probable prime after MR_ROUNDS_LARGE random Miller-Rabin rounds.  Before
 any of that, a Mersenne norm of prime exponent k can be proven composite
 by a divisor in the residue classes its primes are forced into
 (divisor_in_classes).  Factoring divides out the small primes of the long
-gcd and then runs Brent's cycle-finding variant of Pollard rho.  All
-randomized pieces draw from generators seeded by the documented constants
-below, so results are reproducible run to run.
+gcd, so the cofactors skip steps 1 to 3 of is_rational_prime (below 10**8
+they are prime), and splits the rest by Brent's cycle-finding variant of
+Pollard rho.  All randomized pieces draw from generators seeded by the
+documented constants below, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, count, islice
 from math import gcd, isqrt, prod
 
@@ -222,9 +222,8 @@ def is_rational_prime(n: int) -> bool:
     return _witness_verdict(n)
 
 
-@lru_cache(maxsize=64)
 def _witness_verdict(n: int) -> bool:
-    """Steps 4 to 6 of is_rational_prime; cached, as factor asks twice per prime."""
+    """Steps 4 to 6 of is_rational_prime, run directly on factor_rational's cofactors."""
     if n >= 1 << 64:
         proven = _pocklington(n)
         if proven is not None:
@@ -306,13 +305,13 @@ def factor_rational(n: int) -> RationalFactorization:
                 e += 1
             counts[p] = e
     if n > 1:
-        stack = [n]
-        rng = random.Random(FACTOR_SEED ^ n)
+        stack, rng = [n], None
         while stack:
             m = stack.pop()
-            if is_rational_prime(m):
+            if m < TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND or _witness_verdict(m):
                 counts[m] = counts.get(m, 0) + 1
                 continue
+            rng = rng or random.Random(FACTOR_SEED ^ n)
             d = _brent_rho(m, rng)
             stack.append(d)
             stack.append(m // d)

@@ -7,6 +7,8 @@ from cycloperfect import search
 from cycloperfect.divisors import Classification, classify
 from cycloperfect.factorization import (
     _conjugate_prime,
+    _split_prime,
+    _theta_root,
     factor,
     is_ring_prime,
     prime_above,
@@ -17,6 +19,7 @@ from cycloperfect.rational import (
     smallest_prime_factor_sieve,
 )
 from cycloperfect.rings import EISENSTEIN, GAUSSIAN, QuadInt, Ring
+from cycloperfect.rings import gcd as ring_gcd
 from cycloperfect.search import ScanInvariantError, iter_sector
 from peeling import peel_factor
 
@@ -141,6 +144,59 @@ class TestPrimeAbove:
         assert pi.norm() == q and pi.in_sector()
 
 
+def least_b_prime_by_gcd(q, ring, c):
+    """The least-b sector prime above q by the Euclidean ring gcd:
+    gcd(q, c - theta) for a root c, or its conjugate prime."""
+    pi = ring_gcd(QuadInt(ring, q), QuadInt(ring, c, -1))
+    return min(pi, _conjugate_prime(pi), key=lambda p: p.b)
+
+
+def both_roots(q, ring):
+    """The two roots of c^2 + t*c + 1 mod the split prime q."""
+    c = _theta_root(q, ring)
+    return c, (-c - ring.t) % q
+
+
+class TestSplitPrime:
+    def test_matches_search_below_1e5(self):
+        spf = smallest_prime_factor_sieve(10**5)
+        for ring in Ring:
+            for q in range(2, 10**5):
+                if spf[q] == q and not (ring.is_inert(q) or ring.is_ramified(q)):
+                    want = least_b_prime_by_search(q, ring)
+                    for c in both_roots(q, ring):
+                        assert _split_prime(q, ring, c) == want, (q, c)
+
+    def test_matches_prime_above_and_gcd_above_1e6(self):
+        rng = random.Random(27)
+        for ring in Ring:
+            for q in split_primes(rng, ring, 10**6, 10**20, 150):
+                roots = both_roots(q, ring)
+                want = least_b_prime_by_gcd(q, ring, roots[0])
+                assert prime_above(q, ring) == want, q
+                for c in roots:
+                    assert _split_prime(q, ring, c) == want, (q, c)
+
+    def test_non_root_raises(self):
+        for ring in Ring:
+            for q in (13, 37):
+                roots = both_roots(q, ring)
+                for c in range(-q, 2 * q):
+                    if c % q in roots:
+                        assert _split_prime(q, ring, c).norm() == q
+                    else:
+                        with pytest.raises(ArithmeticError, match="not a root"):
+                            _split_prime(q, ring, c)
+
+    def test_caller_composite_is_refused(self):
+        # 65 = 5 * 13 handed to factor as a prime: x's own root would give
+        # Cornacchia's "prime" 7+4i of norm 65, so caller factors are proven
+        x = g(7, 4)
+        assert _split_prime(65, GAUSSIAN, -x.a * pow(x.b, -1, 65) % 65) == x
+        with pytest.raises(ValueError, match="not a rational prime"):
+            factor(x, norm_factors=[(65, 1)])
+
+
 class TestFactor:
     def test_eisenstein_seven(self):
         f = factor(e(7))
@@ -234,6 +290,23 @@ class TestMatchesPeeling:
             for _ in range(150):
                 x = QuadInt(ring, rng.randint(-span, span), rng.randint(-span, span))
                 if x:
+                    assert factor(x) == peel_factor(x), x
+
+    def test_two_split_primes_above_1e8(self):
+        # point-query-sized elements whose split primes come from x's root
+        rng = random.Random(37)
+        span = 10**10
+        for ring in Ring:
+            done = 0
+            while done < 40:
+                q1 = split_primes(rng, ring, 10**8, 10**10, 1)[0]
+                q2 = split_primes(rng, ring, 10**8, 10**20 // (75 * q1), 1)[0]
+                x = rng.choice(ring.units) * QuadInt(ring, rng.randint(1, 5), rng.randint(-5, 5))
+                for q in (q1, q2):
+                    pi = prime_above(q, ring)
+                    x *= rng.choice((pi, _conjugate_prime(pi)))
+                if max(abs(x.a), abs(x.b)) <= span:
+                    done += 1
                     assert factor(x) == peel_factor(x), x
 
     def test_content_and_prime_powers(self):

@@ -502,6 +502,12 @@ class TestFactorRational:
         rng = random.Random(47)
         ns = [1, -1, 2**200 * 9973**3, -(2**200 * 9973**3), math.prod(SMALL_PRIMES)]
         ns += [9973 * 9967, 2 * 9973, 9973 * 1_000_003 * 1_000_033]
+        # cofactors on each side of 10**8, where they stop being prime
+        # outright: below it, just above it composite, up to 2**64, beyond
+        # it, and a semiprime with both factors near 10**10
+        cofactors = [99_999_989, 10007**2, 10007 * 10009, 1_000_000_007, 2**61 - 1]
+        cofactors += [2**64 + 13, 2**89 - 1, 10_000_000_019 * 20_000_000_089]
+        ns += cofactors + [6 * m for m in cofactors]
         for _ in range(300):
             ps = rng.sample(SMALL_PRIMES, rng.randint(1, 40))
             n = math.prod(p ** rng.randint(1, 5) for p in ps)
